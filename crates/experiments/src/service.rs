@@ -606,6 +606,19 @@ pub struct RecordedWorkload {
     pub solve_secs: f64,
 }
 
+impl RecordedWorkload {
+    /// The setup requests, then the stream, as protocol lines — what a
+    /// TCP client of this workload sends.
+    #[must_use]
+    pub fn protocol_lines(&self) -> Vec<String> {
+        self.setup
+            .iter()
+            .chain(&self.stream)
+            .map(render_request)
+            .collect()
+    }
+}
+
 /// Records the seeded workload by driving the generator against one
 /// inline [`AdaptEngine`]. The RNG consumption is identical to
 /// [`run_service_load`]'s (same batch-windowed draws, same

@@ -7,6 +7,7 @@
 //! (`bench_report`). Numbers are parsed as `f64`, which is exact for
 //! every quantity the protocol carries (tick counts are far below 2⁵³).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -41,7 +42,7 @@ impl Json {
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
-            Json::Num(v) if v.is_finite() => Some(v),
+            Json::Num(v) => finite(v),
             _ => None,
         }
     }
@@ -49,8 +50,7 @@ impl Json {
     /// The value as a non-negative integer (rejects fractional parts).
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        let v = self.as_f64()?;
-        (v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53)).then_some(v as u64)
+        exact_u64(self.as_f64()?)
     }
 
     /// The value as a string slice.
@@ -72,6 +72,63 @@ impl Json {
     }
 }
 
+fn finite(v: f64) -> Option<f64> {
+    v.is_finite().then_some(v)
+}
+
+fn exact_u64(v: f64) -> Option<u64> {
+    (v >= 0.0 && v.fract() == 0.0 && v <= 2f64.powi(53)).then_some(v as u64)
+}
+
+/// One top-level member value as [`scan_object`] hands it out: numbers
+/// and strings without a DOM (a string borrows from the input unless it
+/// holds escapes), every other value as a parsed [`Json`].
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) enum Field<'a> {
+    /// A JSON number.
+    Num(f64),
+    /// A string (escapes resolved).
+    Str(Cow<'a, str>),
+    /// `null`, a boolean, an array or an object.
+    Value(Json),
+}
+
+impl Field<'_> {
+    /// The value as a finite `f64` (as [`Json::as_f64`]).
+    #[must_use]
+    pub(crate) fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Field::Num(v) => finite(v),
+            _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer (as [`Json::as_u64`]).
+    #[must_use]
+    pub(crate) fn as_u64(&self) -> Option<u64> {
+        exact_u64(self.as_f64()?)
+    }
+
+    /// The value as a string slice.
+    #[must_use]
+    pub(crate) fn as_str(&self) -> Option<&str> {
+        match self {
+            Field::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as an owned [`Json`] tree.
+    #[must_use]
+    pub(crate) fn into_json(self) -> Json {
+        match self {
+            Field::Num(v) => Json::Num(v),
+            Field::Str(s) => Json::Str(s.into_owned()),
+            Field::Value(value) => value,
+        }
+    }
+}
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 ///
 /// # Errors
@@ -79,30 +136,56 @@ impl Json {
 /// Returns a human-readable description of the first syntax error, with
 /// its byte offset.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(input);
     p.skip_ws();
     let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
+    p.finish()?;
     Ok(value)
+}
+
+/// Validates one JSON document exactly like [`parse`] and hands each
+/// member of a top-level object to `member`, in source order (so a
+/// caller that keeps the last value of a key gets [`Json::get`]'s
+/// "last duplicate wins"). Flat members cost no allocation; see
+/// [`Field`]. Any other top-level document has no members.
+///
+/// # Errors
+///
+/// As for [`parse`], with the same messages and byte offsets.
+pub(crate) fn scan_object<'a>(
+    input: &'a str,
+    mut member: impl FnMut(Cow<'a, str>, Field<'a>),
+) -> Result<(), String> {
+    let mut p = Parser::new(input);
+    p.skip_ws();
+    if p.peek() == Some(b'{') {
+        p.members(&mut member)?;
+    } else {
+        p.value()?;
+    }
+    p.finish()
 }
 
 /// Nesting depth cap — the protocol needs 3; this guards the stack.
 const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -110,6 +193,16 @@ impl Parser<'_> {
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
+        }
+    }
+
+    /// The end of a document: trailing whitespace, then nothing.
+    fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
         }
     }
 
@@ -140,26 +233,33 @@ impl Parser<'_> {
             return Err(format!("nesting deeper than {MAX_DEPTH}"));
         }
         match self.peek() {
-            Some(b'{') => self.object(),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.members(&mut |key: Cow<'a, str>, value: Field<'a>| {
+                    fields.push((key.into_owned(), value.into_json()));
+                })?;
+                Ok(Json::Obj(fields))
+            }
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    /// One object, member by member: the single object loop behind both
+    /// the DOM ([`Parser::value`]) and [`scan_object`].
+    fn members(&mut self, member: &mut impl FnMut(Cow<'a, str>, Field<'a>)) -> Result<(), String> {
         self.expect(b'{')?;
         self.depth += 1;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -167,18 +267,29 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            let value = self.field()?;
+            member(key, value);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
+        }
+    }
+
+    /// One member value: [`Parser::value`] without a DOM node for
+    /// numbers and strings.
+    fn field(&mut self) -> Result<Field<'a>, String> {
+        match self.peek() {
+            _ if self.depth >= MAX_DEPTH => self.value().map(Field::Value),
+            Some(b'"') => Ok(Field::Str(self.string()?)),
+            Some(b'-' | b'0'..=b'9') => Ok(Field::Num(self.number()?)),
+            _ => self.value().map(Field::Value),
         }
     }
 
@@ -208,15 +319,33 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string literal: borrowed from the input up to the first escape,
+    /// decoded into an owned copy from there on.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    let text = &self.text[start..self.pos];
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(text));
+                }
+                Some(b'\\') => break,
+                Some(byte) if byte < 0x20 => return Err("control byte in string".into()),
+                // Continuation bytes of a UTF-8 scalar are ≥ 0x80, so
+                // this stops only on ASCII, i.e. on char boundaries.
+                Some(_) => self.pos += 1,
+            }
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -260,16 +389,13 @@ impl Parser<'_> {
                     while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
                         self.pos += 1;
                     }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("slicing on char boundaries"),
-                    );
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -280,9 +406,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
-            .map(Json::Num)
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| format!("invalid number at byte {start}"))
     }
 }
@@ -346,21 +471,48 @@ pub fn write_value(out: &mut String, value: &Json) {
 
 /// Appends `text` to `out` as a JSON string literal (quoted, escaped).
 pub fn write_escaped(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    escape(text, |piece| out.push_str(piece));
+}
+
+/// [`write_escaped`] into a byte buffer (the response renderer's sink).
+pub(crate) fn write_escaped_bytes(out: &mut Vec<u8>, text: &str) {
+    escape(text, |piece| out.extend_from_slice(piece.as_bytes()));
+}
+
+/// Emits `text` as a quoted JSON string literal, piece by piece: runs of
+/// bytes that need no escape pass through as one slice.
+fn escape(text: &str, mut put: impl FnMut(&str)) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    put("\"");
+    let mut run = 0;
+    for (i, &byte) in text.as_bytes().iter().enumerate() {
+        let control;
+        let escaped = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            byte if byte < 0x20 => {
+                control = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(byte >> 4)],
+                    HEX[usize::from(byte & 0xf)],
+                ];
+                std::str::from_utf8(&control).expect("ASCII escape")
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        // Escaped bytes are ASCII, so `run..i` is on char boundaries.
+        put(&text[run..i]);
+        put(escaped);
+        run = i + 1;
     }
-    out.push('"');
+    put(&text[run..]);
+    put("\"");
 }
 
 #[cfg(test)]
@@ -466,6 +618,28 @@ mod tests {
     fn duplicate_keys_last_wins() {
         let v = parse(r#"{"a":1,"a":2}"#).unwrap();
         assert_eq!(v.get("a").and_then(Json::as_u64), Some(2));
+    }
+
+    /// Flat members come out without a DOM: unescaped strings (keys
+    /// included) borrow from the input, numbers are plain `f64`s.
+    #[test]
+    fn scan_object_borrows_flat_members() {
+        let mut seen = Vec::new();
+        scan_object(
+            r#"{"op":"mode","n":-1.5,"e":"a\nb","x":[1]}"#,
+            |key, value| {
+                seen.push((key, value));
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            &seen[0],
+            (Cow::Borrowed("op"), Field::Str(Cow::Borrowed("mode")))
+        ));
+        assert_eq!(seen[1].1, Field::Num(-1.5));
+        assert!(matches!(&seen[2].1, Field::Str(Cow::Owned(s)) if s == "a\nb"));
+        assert_eq!(seen[3].1, Field::Value(Json::Arr(vec![Json::Num(1.0)])));
+        assert_eq!(seen.len(), 4);
     }
 
     #[test]

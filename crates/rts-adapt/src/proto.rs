@@ -65,7 +65,7 @@ use rts_model::time::{Duration, TICKS_PER_MS};
 
 use crate::engine::{Admitted, Request, Response, RtSpec};
 use crate::journal;
-use crate::json::{self, Json};
+use crate::json::{self, Field, Json};
 use crate::replication::ReplPayload;
 use crate::shard::ShardSnapshot;
 use crate::telemetry::{Histogram, SlowRequest, Stage};
@@ -92,27 +92,44 @@ pub enum Command {
 
 /// Parses one protocol line into a [`Command`].
 ///
+/// The line's top-level members are read in one pass, without a DOM
+/// for the flat fields; only the nested `rt`, `journal` and `entry`
+/// values become [`Json`] trees.
+///
 /// # Errors
 ///
 /// A human-readable description of the first problem (syntax, missing
 /// field, out-of-range value). The caller turns it into a
 /// `verdict:"error"` response.
 pub fn parse_command(line: &str) -> Result<Command, String> {
-    let value = json::parse(line)?;
-    let op = value
-        .get("op")
-        .and_then(Json::as_str)
+    let fields = Fields::scan(line)?;
+    let op = fields
+        .op
+        .as_ref()
+        .and_then(Field::as_str)
         .ok_or("missing string field \"op\"")?;
     if op == "stats" {
         return Ok(Command::Stats);
     }
     if op == "metrics" {
-        return Ok(match value.get("format").and_then(Json::as_str) {
+        return Ok(match fields.format.as_ref().and_then(Field::as_str) {
             Some("prometheus") => Command::MetricsText,
             _ => Command::Metrics,
         });
     }
-    parse_engine_request(&value, op).map(Command::Engine)
+    fields.engine_request(op).map(Command::Engine)
+}
+
+/// Parses one raw protocol line (newline excluded; surrounding
+/// whitespace ignored) into a [`Command`] — what the serving fronts
+/// call on the bytes they read.
+///
+/// # Errors
+///
+/// `"invalid UTF-8"`, or as for [`parse_command`].
+pub(crate) fn parse_line(bytes: &[u8]) -> Result<Command, String> {
+    let text = std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8".to_string())?;
+    parse_command(text.trim())
 }
 
 /// Parses one request line for the engine. `stats` — a serving-layer
@@ -131,129 +148,193 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-fn parse_engine_request(value: &Json, op: &str) -> Result<Request, String> {
-    let tenant = field_u64(value, "tenant")?;
-    match op {
-        "register" => {
-            let cores = field_u64(value, "cores")? as usize;
-            let rt_items = value
-                .get("rt")
-                .and_then(Json::as_array)
-                .ok_or("missing array field \"rt\"")?;
-            let mut rt = Vec::with_capacity(rt_items.len());
-            for (i, item) in rt_items.iter().enumerate() {
-                rt.push(RtSpec {
-                    wcet: field_duration(item, "wcet_ms").map_err(|e| format!("rt[{i}]: {e}"))?,
-                    period: field_duration(item, "period_ms")
-                        .map_err(|e| format!("rt[{i}]: {e}"))?,
-                    core: item
-                        .get("core")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("rt[{i}]: missing integer field \"core\""))?
-                        as usize,
-                });
+/// The top-level members a request line may carry, each holding the
+/// last value its key was given; unknown keys are validated and
+/// dropped.
+#[derive(Default)]
+struct Fields<'a> {
+    op: Option<Field<'a>>,
+    format: Option<Field<'a>>,
+    tenant: Option<Field<'a>>,
+    cores: Option<Field<'a>>,
+    passive_ms: Option<Field<'a>>,
+    active_ms: Option<Field<'a>>,
+    t_max_ms: Option<Field<'a>>,
+    slot: Option<Field<'a>>,
+    mode: Option<Field<'a>>,
+    source: Option<Field<'a>>,
+    kind: Option<Field<'a>>,
+    at: Option<Field<'a>>,
+    rt: Option<Json>,
+    journal: Option<Json>,
+    entry: Option<Json>,
+}
+
+impl<'a> Fields<'a> {
+    fn scan(line: &'a str) -> Result<Fields<'a>, String> {
+        let mut fields = Fields::default();
+        json::scan_object(line, |key, value| {
+            let flat = match &*key {
+                "op" => &mut fields.op,
+                "format" => &mut fields.format,
+                "tenant" => &mut fields.tenant,
+                "cores" => &mut fields.cores,
+                "passive_ms" => &mut fields.passive_ms,
+                "active_ms" => &mut fields.active_ms,
+                "t_max_ms" => &mut fields.t_max_ms,
+                "slot" => &mut fields.slot,
+                "mode" => &mut fields.mode,
+                "source" => &mut fields.source,
+                "kind" => &mut fields.kind,
+                "at" => &mut fields.at,
+                nested => {
+                    let nested = match nested {
+                        "rt" => &mut fields.rt,
+                        "journal" => &mut fields.journal,
+                        "entry" => &mut fields.entry,
+                        _ => return,
+                    };
+                    *nested = Some(value.into_json());
+                    return;
+                }
+            };
+            *flat = Some(value);
+        })?;
+        Ok(fields)
+    }
+
+    fn engine_request(&self, op: &str) -> Result<Request, String> {
+        let tenant = integer(self.tenant.as_ref(), "tenant")?;
+        match op {
+            "register" => {
+                let cores = integer(self.cores.as_ref(), "cores")? as usize;
+                let rt_items = self
+                    .rt
+                    .as_ref()
+                    .and_then(Json::as_array)
+                    .ok_or("missing array field \"rt\"")?;
+                let mut rt = Vec::with_capacity(rt_items.len());
+                for (i, item) in rt_items.iter().enumerate() {
+                    let ms = |key| {
+                        duration(item.get(key).and_then(Json::as_f64), key)
+                            .map_err(|e| format!("rt[{i}]: {e}"))
+                    };
+                    rt.push(RtSpec {
+                        wcet: ms("wcet_ms")?,
+                        period: ms("period_ms")?,
+                        core: item
+                            .get("core")
+                            .and_then(Json::as_u64)
+                            .ok_or_else(|| format!("rt[{i}]: missing integer field \"core\""))?
+                            as usize,
+                    });
+                }
+                Ok(Request::Register { tenant, cores, rt })
             }
-            Ok(Request::Register { tenant, cores, rt })
-        }
-        "arrival" => {
-            let passive = field_duration(value, "passive_ms")?;
-            let active = match value.get("active_ms") {
-                Some(_) => field_duration(value, "active_ms")?,
-                None => passive,
-            };
-            let t_max = field_duration(value, "t_max_ms")?;
-            let monitor = MonitorSpec::modal(passive, active, t_max).map_err(|e| e.to_string())?;
-            Ok(Request::Delta {
+            "arrival" => {
+                let passive = milliseconds(self.passive_ms.as_ref(), "passive_ms")?;
+                let active = match &self.active_ms {
+                    Some(active) => milliseconds(Some(active), "active_ms")?,
+                    None => passive,
+                };
+                let t_max = milliseconds(self.t_max_ms.as_ref(), "t_max_ms")?;
+                let monitor =
+                    MonitorSpec::modal(passive, active, t_max).map_err(|e| e.to_string())?;
+                Ok(Request::Delta {
+                    tenant,
+                    event: DeltaEvent::Arrival { monitor },
+                })
+            }
+            "departure" => Ok(Request::Delta {
                 tenant,
-                event: DeltaEvent::Arrival { monitor },
-            })
-        }
-        "departure" => Ok(Request::Delta {
-            tenant,
-            event: DeltaEvent::Departure {
-                slot: field_u64(value, "slot")? as usize,
-            },
-        }),
-        "wcet_update" => Ok(Request::Delta {
-            tenant,
-            event: DeltaEvent::WcetUpdate {
-                slot: field_u64(value, "slot")? as usize,
-                passive_wcet: field_duration(value, "passive_ms")?,
-                active_wcet: field_duration(value, "active_ms")?,
-            },
-        }),
-        "mode" => {
-            let mode = match value.get("mode").and_then(Json::as_str) {
-                Some("passive") => MonitorMode::Passive,
-                Some("active") => MonitorMode::Active,
-                Some(other) => return Err(format!("unknown mode \"{other}\"")),
-                None => return Err("missing string field \"mode\"".into()),
-            };
-            Ok(Request::Delta {
-                tenant,
-                event: DeltaEvent::ModeChange {
-                    slot: field_u64(value, "slot")? as usize,
-                    mode,
+                event: DeltaEvent::Departure {
+                    slot: integer(self.slot.as_ref(), "slot")? as usize,
                 },
-            })
-        }
-        "query" => Ok(Request::Query { tenant }),
-        "export" => Ok(Request::Export { tenant }),
-        "import" => {
-            let payload = value.get("journal").ok_or("missing field \"journal\"")?;
-            let history = journal::parse_history(payload).map_err(|e| format!("journal: {e}"))?;
-            Ok(Request::Import { tenant, history })
-        }
-        "evict" => Ok(Request::Evict { tenant }),
-        "replicate" => {
-            let source = value
-                .get("source")
-                .and_then(Json::as_str)
-                .ok_or("missing string field \"source\"")?
-                .to_string();
-            let payload = match value.get("kind").and_then(Json::as_str) {
-                Some("reset") => {
-                    let payload = value.get("journal").ok_or("missing field \"journal\"")?;
-                    let history =
-                        journal::parse_history(payload).map_err(|e| format!("journal: {e}"))?;
-                    ReplPayload::Reset { history }
-                }
-                Some("append") => {
-                    let entry = value.get("entry").ok_or("missing field \"entry\"")?;
-                    let event =
-                        journal::event_from_value(entry).map_err(|e| format!("entry: {e}"))?;
-                    let at = field_u64(value, "at")?;
-                    ReplPayload::Append { event, at }
-                }
-                Some("retire") => ReplPayload::Retire,
-                Some(other) => return Err(format!("unknown replicate kind \"{other}\"")),
-                None => return Err("missing string field \"kind\"".into()),
-            };
-            Ok(Request::Replicate {
+            }),
+            "wcet_update" => Ok(Request::Delta {
                 tenant,
-                source,
-                payload,
-            })
+                event: DeltaEvent::WcetUpdate {
+                    slot: integer(self.slot.as_ref(), "slot")? as usize,
+                    passive_wcet: milliseconds(self.passive_ms.as_ref(), "passive_ms")?,
+                    active_wcet: milliseconds(self.active_ms.as_ref(), "active_ms")?,
+                },
+            }),
+            "mode" => {
+                let mode = match self.mode.as_ref().and_then(Field::as_str) {
+                    Some("passive") => MonitorMode::Passive,
+                    Some("active") => MonitorMode::Active,
+                    Some(other) => return Err(format!("unknown mode \"{other}\"")),
+                    None => return Err("missing string field \"mode\"".into()),
+                };
+                Ok(Request::Delta {
+                    tenant,
+                    event: DeltaEvent::ModeChange {
+                        slot: integer(self.slot.as_ref(), "slot")? as usize,
+                        mode,
+                    },
+                })
+            }
+            "query" => Ok(Request::Query { tenant }),
+            "export" => Ok(Request::Export { tenant }),
+            "import" => Ok(Request::Import {
+                tenant,
+                history: self.history()?,
+            }),
+            "evict" => Ok(Request::Evict { tenant }),
+            "replicate" => {
+                let source = self
+                    .source
+                    .as_ref()
+                    .and_then(Field::as_str)
+                    .ok_or("missing string field \"source\"")?
+                    .to_string();
+                let payload = match self.kind.as_ref().and_then(Field::as_str) {
+                    Some("reset") => ReplPayload::Reset {
+                        history: self.history()?,
+                    },
+                    Some("append") => {
+                        let entry = self.entry.as_ref().ok_or("missing field \"entry\"")?;
+                        let event =
+                            journal::event_from_value(entry).map_err(|e| format!("entry: {e}"))?;
+                        let at = integer(self.at.as_ref(), "at")?;
+                        ReplPayload::Append { event, at }
+                    }
+                    Some("retire") => ReplPayload::Retire,
+                    Some(other) => return Err(format!("unknown replicate kind \"{other}\"")),
+                    None => return Err("missing string field \"kind\"".into()),
+                };
+                Ok(Request::Replicate {
+                    tenant,
+                    source,
+                    payload,
+                })
+            }
+            "adopt" => Ok(Request::Adopt { tenant }),
+            other => Err(format!("unknown op \"{other}\"")),
         }
-        "adopt" => Ok(Request::Adopt { tenant }),
-        other => Err(format!("unknown op \"{other}\"")),
+    }
+
+    /// The `journal` member as a tenant history (`import`, `reset`).
+    fn history(&self) -> Result<journal::TenantHistory, String> {
+        let payload = self.journal.as_ref().ok_or("missing field \"journal\"")?;
+        journal::parse_history(payload).map_err(|e| format!("journal: {e}"))
     }
 }
 
-fn field_u64(value: &Json, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
+fn integer(field: Option<&Field<'_>>, key: &str) -> Result<u64, String> {
+    field
+        .and_then(Field::as_u64)
         .ok_or_else(|| format!("missing non-negative integer field \"{key}\""))
 }
 
-/// A `*_ms` field to ticks: milliseconds at the workspace resolution,
+fn milliseconds(field: Option<&Field<'_>>, key: &str) -> Result<Duration, String> {
+    duration(field.and_then(Field::as_f64), key)
+}
+
+/// A `*_ms` value to ticks: milliseconds at the workspace resolution,
 /// rounded to the nearest tick.
-fn field_duration(value: &Json, key: &str) -> Result<Duration, String> {
-    let ms = value
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing number field \"{key}\""))?;
+fn duration(ms: Option<f64>, key: &str) -> Result<Duration, String> {
+    let ms = ms.ok_or_else(|| format!("missing number field \"{key}\""))?;
     if !(0.0..=1e15).contains(&ms) {
         return Err(format!("field \"{key}\" out of range"));
     }
@@ -262,75 +343,67 @@ fn field_duration(value: &Json, key: &str) -> Result<Duration, String> {
     ))
 }
 
-/// Renders one response line (no trailing newline).
+/// Renders one response line (no trailing newline); a `String` view of
+/// [`render_response_into`].
 #[must_use]
 pub fn render_response(seq: u64, response: &Response) -> String {
-    let mut out = String::with_capacity(96);
+    let mut out = Vec::with_capacity(96);
+    render_response_into(&mut out, seq, response);
+    String::from_utf8(out).expect("the renderer writes UTF-8")
+}
+
+/// Appends one response line (no trailing newline) to `out`: digits and
+/// fingerprints are written straight into the buffer, so a caller that
+/// reuses `out` renders without allocating.
+pub fn render_response_into(out: &mut Vec<u8>, seq: u64, response: &Response) {
+    out.extend_from_slice(b"{\"seq\":");
+    write_u64(out, seq);
+    out.extend_from_slice(b",\"tenant\":");
+    write_u64(out, response.tenant());
     match response {
         Response::Admitted(Admitted {
-            tenant,
             periods,
             response_times,
             fingerprint,
             cached,
+            ..
         }) => {
-            let _ = write!(
-                out,
-                "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"accept\",\"cached\":{cached},\
-                 \"fingerprint\":\"{fingerprint:016x}\",\"periods_ms\":"
-            );
-            write_ms_array(&mut out, periods);
-            out.push_str(",\"response_times_ms\":");
-            write_ms_array(&mut out, response_times);
-            out.push('}');
+            out.extend_from_slice(b",\"verdict\":\"accept\",\"cached\":");
+            write_bool(out, *cached);
+            out.extend_from_slice(b",\"fingerprint\":");
+            write_fingerprint(out, *fingerprint);
+            out.extend_from_slice(b",\"periods_ms\":");
+            write_ms_array(out, periods);
+            out.extend_from_slice(b",\"response_times_ms\":");
+            write_ms_array(out, response_times);
         }
-        Response::Rejected { tenant, reason } => {
-            let _ = write!(
-                out,
-                "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"reject\",\"reason\":"
-            );
-            json::write_escaped(&mut out, reason);
-            out.push('}');
+        Response::Rejected { reason, .. } => {
+            out.extend_from_slice(b",\"verdict\":\"reject\",\"reason\":");
+            json::write_escaped_bytes(out, reason);
         }
-        Response::Error { tenant, reason } => {
-            let _ = write!(
-                out,
-                "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"error\",\"reason\":"
-            );
-            json::write_escaped(&mut out, reason);
-            out.push('}');
+        Response::Error { reason, .. } => {
+            out.extend_from_slice(b",\"verdict\":\"error\",\"reason\":");
+            json::write_escaped_bytes(out, reason);
         }
-        Response::Exported { tenant, history } => {
-            let _ = write!(
-                out,
-                "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"export\""
-            );
+        Response::Exported { history, .. } => {
+            out.extend_from_slice(b",\"verdict\":\"export\"");
             if let Some(snapshot) = &history.snapshot {
-                let _ = write!(out, ",\"fingerprint\":\"{:016x}\"", snapshot.fingerprint);
+                out.extend_from_slice(b",\"fingerprint\":");
+                write_fingerprint(out, snapshot.fingerprint);
             }
-            out.push_str(",\"journal\":");
-            out.push_str(&journal::render_history(history));
-            out.push('}');
+            out.extend_from_slice(b",\"journal\":");
+            out.extend_from_slice(journal::render_history(history).as_bytes());
         }
-        Response::Evicted {
-            tenant,
-            fingerprint,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"evicted\",\
-                 \"fingerprint\":\"{fingerprint:016x}\"}}"
-            );
+        Response::Evicted { fingerprint, .. } => {
+            out.extend_from_slice(b",\"verdict\":\"evicted\",\"fingerprint\":");
+            write_fingerprint(out, *fingerprint);
         }
-        Response::Replicated { tenant, applied } => {
-            let _ = write!(
-                out,
-                "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"replicated\",\
-                 \"applied\":{applied}}}"
-            );
+        Response::Replicated { applied, .. } => {
+            out.extend_from_slice(b",\"verdict\":\"replicated\",\"applied\":");
+            write_bool(out, *applied);
         }
     }
-    out
+    out.push(b'}');
 }
 
 /// Connection gauges of a TCP front end, as reported by the `stats`
@@ -349,7 +422,7 @@ pub struct ConnStats {
 /// `stats` and `metrics` verbs. Single-reactor and non-reactor fronts
 /// report exactly one entry (reactor 0) so the field set — pinned by
 /// the cross-front byte-shape parity test — never depends on the
-/// serving architecture; the threaded and stdin fronts have no gathered
+/// serving architecture; the threaded and stdin fronts have no reactor
 /// egress, so their flush counters stay 0.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ReactorStats {
@@ -361,10 +434,13 @@ pub struct ReactorStats {
     pub refused: u64,
     /// This reactor's share of the global `--max-conns` budget.
     pub max: usize,
-    /// Gathered-writev flush passes the reactor has run.
+    /// Egress write syscalls the reactor has issued.
     pub flush_passes: u64,
-    /// Total iovecs submitted across those passes (responses per
-    /// syscall ≈ `iovecs_written / flush_passes`).
+    /// Response lines submitted across those writes — each write hands
+    /// the kernel every line its connection has queued, and a line a
+    /// short write splits counts again in the write that finishes it —
+    /// so responses per syscall ≈ `iovecs_written / flush_passes`. The
+    /// name dates from the gathered-`writev` egress it used to count.
     pub iovecs_written: u64,
 }
 
@@ -719,139 +795,560 @@ pub fn render_metrics_text(seq: u64, report: &MetricsReport) -> String {
 /// recorded workload over real TCP connections with it.
 #[must_use]
 pub fn render_request(request: &Request) -> String {
-    let mut out = String::with_capacity(96);
+    let mut out = Vec::with_capacity(96);
+    let head = |out: &mut Vec<u8>, op: &str, tenant: u64| {
+        out.extend_from_slice(b"{\"op\":\"");
+        out.extend_from_slice(op.as_bytes());
+        out.extend_from_slice(b"\",\"tenant\":");
+        write_u64(out, tenant);
+    };
     match request {
         Request::Register { tenant, cores, rt } => {
-            let _ = write!(
-                out,
-                "{{\"op\":\"register\",\"tenant\":{tenant},\"cores\":{cores},\"rt\":["
-            );
+            head(&mut out, "register", *tenant);
+            out.extend_from_slice(b",\"cores\":");
+            write_u64(&mut out, *cores as u64);
+            out.extend_from_slice(b",\"rt\":[");
             for (i, spec) in rt.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
-                out.push_str("{\"wcet_ms\":");
+                out.extend_from_slice(b"{\"wcet_ms\":");
                 write_ms(&mut out, spec.wcet);
-                out.push_str(",\"period_ms\":");
+                out.extend_from_slice(b",\"period_ms\":");
                 write_ms(&mut out, spec.period);
-                let _ = write!(out, ",\"core\":{}}}", spec.core);
+                out.extend_from_slice(b",\"core\":");
+                write_u64(&mut out, spec.core as u64);
+                out.push(b'}');
             }
-            out.push_str("]}");
+            out.push(b']');
         }
         Request::Delta { tenant, event } => match event {
             DeltaEvent::Arrival { monitor } => {
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"arrival\",\"tenant\":{tenant},\"passive_ms\":"
-                );
+                head(&mut out, "arrival", *tenant);
+                out.extend_from_slice(b",\"passive_ms\":");
                 write_ms(&mut out, monitor.passive_wcet());
-                out.push_str(",\"active_ms\":");
+                out.extend_from_slice(b",\"active_ms\":");
                 write_ms(&mut out, monitor.active_wcet());
-                out.push_str(",\"t_max_ms\":");
+                out.extend_from_slice(b",\"t_max_ms\":");
                 write_ms(&mut out, monitor.t_max());
-                out.push('}');
             }
             DeltaEvent::Departure { slot } => {
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"departure\",\"tenant\":{tenant},\"slot\":{slot}}}"
-                );
+                head(&mut out, "departure", *tenant);
+                out.extend_from_slice(b",\"slot\":");
+                write_u64(&mut out, *slot as u64);
             }
             DeltaEvent::WcetUpdate {
                 slot,
                 passive_wcet,
                 active_wcet,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"wcet_update\",\"tenant\":{tenant},\"slot\":{slot},\"passive_ms\":"
-                );
+                head(&mut out, "wcet_update", *tenant);
+                out.extend_from_slice(b",\"slot\":");
+                write_u64(&mut out, *slot as u64);
+                out.extend_from_slice(b",\"passive_ms\":");
                 write_ms(&mut out, *passive_wcet);
-                out.push_str(",\"active_ms\":");
+                out.extend_from_slice(b",\"active_ms\":");
                 write_ms(&mut out, *active_wcet);
-                out.push('}');
             }
             DeltaEvent::ModeChange { slot, mode } => {
-                let mode = match mode {
-                    MonitorMode::Passive => "passive",
-                    MonitorMode::Active => "active",
-                };
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"mode\",\"tenant\":{tenant},\"slot\":{slot},\"mode\":\"{mode}\"}}"
-                );
+                head(&mut out, "mode", *tenant);
+                out.extend_from_slice(b",\"slot\":");
+                write_u64(&mut out, *slot as u64);
+                out.extend_from_slice(match mode {
+                    MonitorMode::Passive => b",\"mode\":\"passive\"",
+                    MonitorMode::Active => b",\"mode\":\"active\"",
+                });
             }
         },
-        Request::Query { tenant } => {
-            let _ = write!(out, "{{\"op\":\"query\",\"tenant\":{tenant}}}");
-        }
-        Request::Export { tenant } => {
-            let _ = write!(out, "{{\"op\":\"export\",\"tenant\":{tenant}}}");
-        }
+        Request::Query { tenant } => head(&mut out, "query", *tenant),
+        Request::Export { tenant } => head(&mut out, "export", *tenant),
         Request::Import { tenant, history } => {
-            let _ = write!(out, "{{\"op\":\"import\",\"tenant\":{tenant},\"journal\":");
-            out.push_str(&journal::render_history(history));
-            out.push('}');
+            head(&mut out, "import", *tenant);
+            out.extend_from_slice(b",\"journal\":");
+            out.extend_from_slice(journal::render_history(history).as_bytes());
         }
-        Request::Evict { tenant } => {
-            let _ = write!(out, "{{\"op\":\"evict\",\"tenant\":{tenant}}}");
-        }
+        Request::Evict { tenant } => head(&mut out, "evict", *tenant),
         Request::Replicate {
             tenant,
             source,
             payload,
         } => {
-            let _ = write!(
-                out,
-                "{{\"op\":\"replicate\",\"tenant\":{tenant},\"source\":"
-            );
-            json::write_escaped(&mut out, source);
+            head(&mut out, "replicate", *tenant);
+            out.extend_from_slice(b",\"source\":");
+            json::write_escaped_bytes(&mut out, source);
             match payload {
                 ReplPayload::Reset { history } => {
-                    out.push_str(",\"kind\":\"reset\",\"journal\":");
-                    out.push_str(&journal::render_history(history));
+                    out.extend_from_slice(b",\"kind\":\"reset\",\"journal\":");
+                    out.extend_from_slice(journal::render_history(history).as_bytes());
                 }
                 ReplPayload::Append { event, at } => {
-                    let _ = write!(out, ",\"kind\":\"append\",\"at\":{at},\"entry\":");
-                    out.push_str(&journal::render_event(event));
+                    out.extend_from_slice(b",\"kind\":\"append\",\"at\":");
+                    write_u64(&mut out, *at);
+                    out.extend_from_slice(b",\"entry\":");
+                    out.extend_from_slice(journal::render_event(event).as_bytes());
                 }
-                ReplPayload::Retire => out.push_str(",\"kind\":\"retire\""),
+                ReplPayload::Retire => out.extend_from_slice(b",\"kind\":\"retire\""),
             }
-            out.push('}');
         }
-        Request::Adopt { tenant } => {
-            let _ = write!(out, "{{\"op\":\"adopt\",\"tenant\":{tenant}}}");
+        Request::Adopt { tenant } => head(&mut out, "adopt", *tenant),
+    }
+    out.push(b'}');
+    String::from_utf8(out).expect("the renderer writes UTF-8")
+}
+
+/// Appends `v` in decimal.
+fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out
+    out.extend_from_slice(&digits[at..]);
+}
+
+fn write_bool(out: &mut Vec<u8>, v: bool) {
+    out.extend_from_slice(if v { b"true" } else { b"false" });
+}
+
+/// Appends a fingerprint as a quoted 16-digit lowercase hex string.
+fn write_fingerprint(out: &mut Vec<u8>, v: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    for shift in (0..16).rev() {
+        out.push(HEX[((v >> (4 * shift)) & 0xf) as usize]);
+    }
+    out.push(b'"');
 }
 
 /// One duration as an exact decimal `*_ms` value (ticks are tenths of
 /// a millisecond), so a render→parse round trip loses nothing.
-fn write_ms(out: &mut String, d: Duration) {
+fn write_ms(out: &mut Vec<u8>, d: Duration) {
     let ticks = d.as_ticks();
-    if ticks % TICKS_PER_MS == 0 {
-        let _ = write!(out, "{}", ticks / TICKS_PER_MS);
-    } else {
-        let _ = write!(out, "{}.{}", ticks / TICKS_PER_MS, ticks % TICKS_PER_MS);
+    write_u64(out, ticks / TICKS_PER_MS);
+    if ticks % TICKS_PER_MS != 0 {
+        out.push(b'.');
+        write_u64(out, ticks % TICKS_PER_MS);
     }
 }
 
-fn write_ms_array(out: &mut String, durations: &[Duration]) {
-    out.push('[');
+fn write_ms_array(out: &mut Vec<u8>, durations: &[Duration]) {
+    out.push(b'[');
     for (i, d) in durations.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         write_ms(out, *d);
     }
-    out.push(']');
+    out.push(b']');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::Json;
+
+    /// The request codec as it stood before the single-pass member scan
+    /// and the `fmt`-free renderer — DOM extraction over [`json::parse`]
+    /// and `write!` rendering, kept verbatim as the parity oracle.
+    mod reference {
+        use std::fmt::Write as _;
+
+        use super::super::*;
+
+        pub fn parse_command(line: &str) -> Result<Command, String> {
+            let value = json::parse(line)?;
+            let op = value
+                .get("op")
+                .and_then(Json::as_str)
+                .ok_or("missing string field \"op\"")?;
+            if op == "stats" {
+                return Ok(Command::Stats);
+            }
+            if op == "metrics" {
+                return Ok(match value.get("format").and_then(Json::as_str) {
+                    Some("prometheus") => Command::MetricsText,
+                    _ => Command::Metrics,
+                });
+            }
+            parse_engine_request(&value, op).map(Command::Engine)
+        }
+
+        fn parse_engine_request(value: &Json, op: &str) -> Result<Request, String> {
+            let tenant = field_u64(value, "tenant")?;
+            match op {
+                "register" => {
+                    let cores = field_u64(value, "cores")? as usize;
+                    let rt_items = value
+                        .get("rt")
+                        .and_then(Json::as_array)
+                        .ok_or("missing array field \"rt\"")?;
+                    let mut rt = Vec::with_capacity(rt_items.len());
+                    for (i, item) in rt_items.iter().enumerate() {
+                        rt.push(RtSpec {
+                            wcet: field_duration(item, "wcet_ms")
+                                .map_err(|e| format!("rt[{i}]: {e}"))?,
+                            period: field_duration(item, "period_ms")
+                                .map_err(|e| format!("rt[{i}]: {e}"))?,
+                            core: item
+                                .get("core")
+                                .and_then(Json::as_u64)
+                                .ok_or_else(|| format!("rt[{i}]: missing integer field \"core\""))?
+                                as usize,
+                        });
+                    }
+                    Ok(Request::Register { tenant, cores, rt })
+                }
+                "arrival" => {
+                    let passive = field_duration(value, "passive_ms")?;
+                    let active = match value.get("active_ms") {
+                        Some(_) => field_duration(value, "active_ms")?,
+                        None => passive,
+                    };
+                    let t_max = field_duration(value, "t_max_ms")?;
+                    let monitor =
+                        MonitorSpec::modal(passive, active, t_max).map_err(|e| e.to_string())?;
+                    Ok(Request::Delta {
+                        tenant,
+                        event: DeltaEvent::Arrival { monitor },
+                    })
+                }
+                "departure" => Ok(Request::Delta {
+                    tenant,
+                    event: DeltaEvent::Departure {
+                        slot: field_u64(value, "slot")? as usize,
+                    },
+                }),
+                "wcet_update" => Ok(Request::Delta {
+                    tenant,
+                    event: DeltaEvent::WcetUpdate {
+                        slot: field_u64(value, "slot")? as usize,
+                        passive_wcet: field_duration(value, "passive_ms")?,
+                        active_wcet: field_duration(value, "active_ms")?,
+                    },
+                }),
+                "mode" => {
+                    let mode = match value.get("mode").and_then(Json::as_str) {
+                        Some("passive") => MonitorMode::Passive,
+                        Some("active") => MonitorMode::Active,
+                        Some(other) => return Err(format!("unknown mode \"{other}\"")),
+                        None => return Err("missing string field \"mode\"".into()),
+                    };
+                    Ok(Request::Delta {
+                        tenant,
+                        event: DeltaEvent::ModeChange {
+                            slot: field_u64(value, "slot")? as usize,
+                            mode,
+                        },
+                    })
+                }
+                "query" => Ok(Request::Query { tenant }),
+                "export" => Ok(Request::Export { tenant }),
+                "import" => {
+                    let payload = value.get("journal").ok_or("missing field \"journal\"")?;
+                    let history =
+                        journal::parse_history(payload).map_err(|e| format!("journal: {e}"))?;
+                    Ok(Request::Import { tenant, history })
+                }
+                "evict" => Ok(Request::Evict { tenant }),
+                "replicate" => {
+                    let source = value
+                        .get("source")
+                        .and_then(Json::as_str)
+                        .ok_or("missing string field \"source\"")?
+                        .to_string();
+                    let payload = match value.get("kind").and_then(Json::as_str) {
+                        Some("reset") => {
+                            let payload =
+                                value.get("journal").ok_or("missing field \"journal\"")?;
+                            let history = journal::parse_history(payload)
+                                .map_err(|e| format!("journal: {e}"))?;
+                            ReplPayload::Reset { history }
+                        }
+                        Some("append") => {
+                            let entry = value.get("entry").ok_or("missing field \"entry\"")?;
+                            let event = journal::event_from_value(entry)
+                                .map_err(|e| format!("entry: {e}"))?;
+                            let at = field_u64(value, "at")?;
+                            ReplPayload::Append { event, at }
+                        }
+                        Some("retire") => ReplPayload::Retire,
+                        Some(other) => return Err(format!("unknown replicate kind \"{other}\"")),
+                        None => return Err("missing string field \"kind\"".into()),
+                    };
+                    Ok(Request::Replicate {
+                        tenant,
+                        source,
+                        payload,
+                    })
+                }
+                "adopt" => Ok(Request::Adopt { tenant }),
+                other => Err(format!("unknown op \"{other}\"")),
+            }
+        }
+
+        fn field_u64(value: &Json, key: &str) -> Result<u64, String> {
+            value
+                .get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing non-negative integer field \"{key}\""))
+        }
+
+        fn field_duration(value: &Json, key: &str) -> Result<Duration, String> {
+            let ms = value
+                .get(key)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("missing number field \"{key}\""))?;
+            if !(0.0..=1e15).contains(&ms) {
+                return Err(format!("field \"{key}\" out of range"));
+            }
+            Ok(Duration::from_ticks(
+                (ms * TICKS_PER_MS as f64).round() as u64
+            ))
+        }
+
+        pub fn render_response(seq: u64, response: &Response) -> String {
+            let mut out = String::with_capacity(96);
+            match response {
+                Response::Admitted(Admitted {
+                    tenant,
+                    periods,
+                    response_times,
+                    fingerprint,
+                    cached,
+                }) => {
+                    let _ = write!(
+                        out,
+                        "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"accept\",\
+                         \"cached\":{cached},\"fingerprint\":\"{fingerprint:016x}\",\
+                         \"periods_ms\":"
+                    );
+                    write_ms_array(&mut out, periods);
+                    out.push_str(",\"response_times_ms\":");
+                    write_ms_array(&mut out, response_times);
+                    out.push('}');
+                }
+                Response::Rejected { tenant, reason } => {
+                    let _ = write!(
+                        out,
+                        "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"reject\",\"reason\":"
+                    );
+                    write_escaped(&mut out, reason);
+                    out.push('}');
+                }
+                Response::Error { tenant, reason } => {
+                    let _ = write!(
+                        out,
+                        "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"error\",\"reason\":"
+                    );
+                    write_escaped(&mut out, reason);
+                    out.push('}');
+                }
+                Response::Exported { tenant, history } => {
+                    let _ = write!(
+                        out,
+                        "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"export\""
+                    );
+                    if let Some(snapshot) = &history.snapshot {
+                        let _ = write!(out, ",\"fingerprint\":\"{:016x}\"", snapshot.fingerprint);
+                    }
+                    out.push_str(",\"journal\":");
+                    out.push_str(&journal::render_history(history));
+                    out.push('}');
+                }
+                Response::Evicted {
+                    tenant,
+                    fingerprint,
+                } => {
+                    let _ = write!(
+                        out,
+                        "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"evicted\",\
+                         \"fingerprint\":\"{fingerprint:016x}\"}}"
+                    );
+                }
+                Response::Replicated { tenant, applied } => {
+                    let _ = write!(
+                        out,
+                        "{{\"seq\":{seq},\"tenant\":{tenant},\"verdict\":\"replicated\",\
+                         \"applied\":{applied}}}"
+                    );
+                }
+            }
+            out
+        }
+
+        pub fn render_request(request: &Request) -> String {
+            let mut out = String::with_capacity(96);
+            match request {
+                Request::Register { tenant, cores, rt } => {
+                    let _ = write!(
+                        out,
+                        "{{\"op\":\"register\",\"tenant\":{tenant},\"cores\":{cores},\"rt\":["
+                    );
+                    for (i, spec) in rt.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        out.push_str("{\"wcet_ms\":");
+                        write_ms(&mut out, spec.wcet);
+                        out.push_str(",\"period_ms\":");
+                        write_ms(&mut out, spec.period);
+                        let _ = write!(out, ",\"core\":{}}}", spec.core);
+                    }
+                    out.push_str("]}");
+                }
+                Request::Delta { tenant, event } => match event {
+                    DeltaEvent::Arrival { monitor } => {
+                        let _ = write!(
+                            out,
+                            "{{\"op\":\"arrival\",\"tenant\":{tenant},\"passive_ms\":"
+                        );
+                        write_ms(&mut out, monitor.passive_wcet());
+                        out.push_str(",\"active_ms\":");
+                        write_ms(&mut out, monitor.active_wcet());
+                        out.push_str(",\"t_max_ms\":");
+                        write_ms(&mut out, monitor.t_max());
+                        out.push('}');
+                    }
+                    DeltaEvent::Departure { slot } => {
+                        let _ = write!(
+                            out,
+                            "{{\"op\":\"departure\",\"tenant\":{tenant},\"slot\":{slot}}}"
+                        );
+                    }
+                    DeltaEvent::WcetUpdate {
+                        slot,
+                        passive_wcet,
+                        active_wcet,
+                    } => {
+                        let _ = write!(
+                            out,
+                            "{{\"op\":\"wcet_update\",\"tenant\":{tenant},\"slot\":{slot},\
+                             \"passive_ms\":"
+                        );
+                        write_ms(&mut out, *passive_wcet);
+                        out.push_str(",\"active_ms\":");
+                        write_ms(&mut out, *active_wcet);
+                        out.push('}');
+                    }
+                    DeltaEvent::ModeChange { slot, mode } => {
+                        let mode = match mode {
+                            MonitorMode::Passive => "passive",
+                            MonitorMode::Active => "active",
+                        };
+                        let _ = write!(
+                            out,
+                            "{{\"op\":\"mode\",\"tenant\":{tenant},\"slot\":{slot},\
+                             \"mode\":\"{mode}\"}}"
+                        );
+                    }
+                },
+                Request::Query { tenant } => {
+                    let _ = write!(out, "{{\"op\":\"query\",\"tenant\":{tenant}}}");
+                }
+                Request::Export { tenant } => {
+                    let _ = write!(out, "{{\"op\":\"export\",\"tenant\":{tenant}}}");
+                }
+                Request::Import { tenant, history } => {
+                    let _ = write!(out, "{{\"op\":\"import\",\"tenant\":{tenant},\"journal\":");
+                    out.push_str(&journal::render_history(history));
+                    out.push('}');
+                }
+                Request::Evict { tenant } => {
+                    let _ = write!(out, "{{\"op\":\"evict\",\"tenant\":{tenant}}}");
+                }
+                Request::Replicate {
+                    tenant,
+                    source,
+                    payload,
+                } => {
+                    let _ = write!(
+                        out,
+                        "{{\"op\":\"replicate\",\"tenant\":{tenant},\"source\":"
+                    );
+                    write_escaped(&mut out, source);
+                    match payload {
+                        ReplPayload::Reset { history } => {
+                            out.push_str(",\"kind\":\"reset\",\"journal\":");
+                            out.push_str(&journal::render_history(history));
+                        }
+                        ReplPayload::Append { event, at } => {
+                            let _ = write!(out, ",\"kind\":\"append\",\"at\":{at},\"entry\":");
+                            out.push_str(&journal::render_event(event));
+                        }
+                        ReplPayload::Retire => out.push_str(",\"kind\":\"retire\""),
+                    }
+                    out.push('}');
+                }
+                Request::Adopt { tenant } => {
+                    let _ = write!(out, "{{\"op\":\"adopt\",\"tenant\":{tenant}}}");
+                }
+            }
+            out
+        }
+
+        fn write_ms(out: &mut String, d: Duration) {
+            let ticks = d.as_ticks();
+            if ticks % TICKS_PER_MS == 0 {
+                let _ = write!(out, "{}", ticks / TICKS_PER_MS);
+            } else {
+                let _ = write!(out, "{}.{}", ticks / TICKS_PER_MS, ticks % TICKS_PER_MS);
+            }
+        }
+
+        fn write_ms_array(out: &mut String, durations: &[Duration]) {
+            out.push('[');
+            for (i, d) in durations.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_ms(out, *d);
+            }
+            out.push(']');
+        }
+
+        fn write_escaped(out: &mut String, text: &str) {
+            out.push('"');
+            for c in text.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    /// Asserts that the codec parses `line` exactly like the reference,
+    /// `Err` text included.
+    fn assert_parse_parity(line: &str) {
+        assert_eq!(
+            parse_command(line),
+            reference::parse_command(line),
+            "parse diverged on {line:?}"
+        );
+    }
+
+    /// Asserts byte-identical rendering against the reference, through
+    /// both the `String` wrapper and the appending renderer.
+    fn assert_render_parity(seq: u64, response: &Response) {
+        let expected = reference::render_response(seq, response);
+        assert_eq!(render_response(seq, response), expected);
+        let mut appended = b"prefix\n".to_vec();
+        render_response_into(&mut appended, seq, response);
+        assert_eq!(&appended[7..], expected.as_bytes());
+    }
 
     fn ms(v: u64) -> Duration {
         Duration::from_ms(v)
@@ -1102,17 +1599,16 @@ mod tests {
         assert_eq!(parsed.get("seq").and_then(Json::as_u64), Some(4));
     }
 
-    /// `render_request` is the exact inverse of `parse_request`,
-    /// including fractional-millisecond durations.
-    #[test]
-    fn requests_render_and_reparse_identically() {
+    /// One request of every op, with fractional-millisecond durations
+    /// and a source that needs escaping.
+    fn every_verb() -> Vec<Request> {
         let modal = MonitorSpec::modal(
             Duration::from_ticks(53_421), // 5342.1 ms: exercises the decimal
             Duration::from_ticks(60_000),
             Duration::from_ticks(100_005),
         )
         .unwrap();
-        let requests = vec![
+        vec![
             Request::Register {
                 tenant: 7,
                 cores: 2,
@@ -1184,9 +1680,34 @@ mod tests {
                 source: "d1".into(),
                 payload: crate::replication::ReplPayload::Retire,
             },
+            Request::Import {
+                tenant: 7,
+                history: crate::journal::TenantHistory {
+                    cores: 2,
+                    rt: vec![RtSpec {
+                        wcet: ms(240),
+                        period: ms(500),
+                        core: 1,
+                    }],
+                    snapshot: None,
+                    events: vec![
+                        DeltaEvent::Arrival { monitor: modal },
+                        DeltaEvent::ModeChange {
+                            slot: 0,
+                            mode: MonitorMode::Passive,
+                        },
+                    ],
+                },
+            },
             Request::Adopt { tenant: 7 },
-        ];
-        for request in requests {
+        ]
+    }
+
+    /// `render_request` is the exact inverse of `parse_request`,
+    /// including fractional-millisecond durations.
+    #[test]
+    fn requests_render_and_reparse_identically() {
+        for request in every_verb() {
             let line = render_request(&request);
             assert_eq!(
                 parse_request(&line).unwrap(),
@@ -1424,5 +1945,272 @@ mod tests {
             Some("text/plain; version=0.0.4")
         );
         assert_eq!(parsed.get("text").and_then(Json::as_str), Some(&*text));
+    }
+
+    /// Every verb of the protocol header, rendered and parsed by the
+    /// codec and by the reference, and every response kind an engine
+    /// session produces, rendered by both.
+    #[test]
+    fn codec_matches_the_reference_on_every_verb() {
+        for request in every_verb() {
+            let line = render_request(&request);
+            assert_eq!(line, reference::render_request(&request));
+            assert_parse_parity(&line);
+        }
+        for line in [
+            r#"{"op":"stats"}"#,
+            r#"{"op":"metrics"}"#,
+            r#"{"op":"metrics","format":"prometheus"}"#,
+            r#"{"op":"metrics","format":"xml"}"#,
+        ] {
+            assert_parse_parity(line);
+        }
+
+        let mut engine =
+            crate::engine::AdaptEngine::new(rts_analysis::semi::CarryInStrategy::TopDiff);
+        let session = [
+            r#"{"op":"register","tenant":1,"cores":2,"rt":[{"wcet_ms":240,"period_ms":500,"core":0},{"wcet_ms":1120,"period_ms":5000,"core":1}]}"#,
+            r#"{"op":"arrival","tenant":1,"passive_ms":5342,"t_max_ms":10000}"#,
+            r#"{"op":"arrival","tenant":1,"passive_ms":223.5,"active_ms":400,"t_max_ms":10000}"#,
+            r#"{"op":"arrival","tenant":1,"passive_ms":9000,"t_max_ms":9500}"#,
+            r#"{"op":"mode","tenant":1,"slot":1,"mode":"active"}"#,
+            r#"{"op":"wcet_update","tenant":1,"slot":1,"passive_ms":230,"active_ms":410}"#,
+            r#"{"op":"departure","tenant":1,"slot":7}"#,
+            r#"{"op":"query","tenant":1}"#,
+            r#"{"op":"query","tenant":2}"#,
+            r#"{"op":"export","tenant":1}"#,
+            r#"{"op":"evict","tenant":1}"#,
+            r#"{"op":"replicate","tenant":1,"source":"d0","kind":"retire"}"#,
+            r#"{"op":"adopt","tenant":1}"#,
+        ];
+        let mut responses = Vec::new();
+        for line in session {
+            assert_parse_parity(line);
+            responses.push(engine.handle(&parse_request(line).unwrap()));
+        }
+        let exported = responses
+            .iter()
+            .find_map(|response| match response {
+                Response::Exported { history, .. } => Some(history.clone()),
+                _ => None,
+            })
+            .expect("the session exports tenant 1");
+        let import = Request::Import {
+            tenant: 1,
+            history: exported,
+        };
+        let line = render_request(&import);
+        assert_eq!(line, reference::render_request(&import));
+        assert_parse_parity(&line);
+        responses.push(engine.handle(&import));
+        responses.extend([
+            Response::Replicated {
+                tenant: 3,
+                applied: true,
+            },
+            Response::Replicated {
+                tenant: 3,
+                applied: false,
+            },
+            Response::Rejected {
+                tenant: u64::MAX,
+                reason: "quote \" backslash \\ newline \n tab \t cr \r bell \u{7} del \u{7f} é ✓"
+                    .into(),
+            },
+            Response::Error {
+                tenant: 0,
+                reason: String::new(),
+            },
+            Response::Evicted {
+                tenant: 9,
+                fingerprint: u64::MAX,
+            },
+        ]);
+        for verdict in [
+            "accept",
+            "reject",
+            "error",
+            "export",
+            "evicted",
+            "replicated",
+        ] {
+            assert!(
+                responses
+                    .iter()
+                    .any(|r| render_response(0, r).contains(&format!("\"verdict\":\"{verdict}\""))),
+                "no {verdict} response in the session"
+            );
+        }
+        for (seq, response) in responses.iter().enumerate() {
+            assert_render_parity(seq as u64 * 1_000_003, response);
+        }
+    }
+
+    /// Hostile and odd lines: escapes, duplicate keys, whitespace,
+    /// number spellings, nested values in flat fields, trailing data,
+    /// unknown ops, missing fields, control bytes and deep nesting.
+    #[test]
+    fn codec_matches_the_reference_on_adversarial_lines() {
+        let deep_array = format!(
+            r#"{{"op":"query","tenant":1,"x":{}{}}}"#,
+            "[".repeat(40),
+            "]".repeat(40)
+        );
+        // A string member exactly at the depth cap.
+        let deep_string = format!(
+            r#"{{"op":"query","tenant":1,"x":{}"s"{}}}"#,
+            r#"{"a":"#.repeat(31),
+            "}".repeat(31)
+        );
+        let owned = [deep_array, deep_string];
+        let lines = [
+            // Escapes, including \u.
+            r#"{"op":"mode","tenant":1,"slot":0,"mode":"active"}"#,
+            r#"{"op":"query","tenant":1}"#,
+            r#"{"op":"replicate","tenant":1,"source":"d\"0\\\/\b\f\n\r\té","kind":"retire"}"#,
+            r#"{"op":"query","tenant":1,"x":"\ud800"}"#,
+            r#"{"op":"query","tenant":1,"x":"\u12"}"#,
+            r#"{"op":"query","tenant":1,"x":"\uZZZZ"}"#,
+            r#"{"op":"query","tenant":1,"x":"\q"}"#,
+            r#"{"op":"query","tenant":1,"x":"\"#,
+            r#"{"op":"que\ry","tenant":1}"#,
+            // Duplicate keys: the last one wins.
+            r#"{"op":"export","op":"query","tenant":1,"tenant":2}"#,
+            r#"{"op":"mode","tenant":1,"slot":0,"mode":"active","mode":"calm"}"#,
+            r#"{"op":"register","tenant":1,"cores":2,"rt":[],"rt":[{"wcet_ms":1,"period_ms":5,"core":0}]}"#,
+            r#"{"op":"arrival","tenant":1,"passive_ms":1,"active_ms":2,"active_ms":null,"t_max_ms":50}"#,
+            // Whitespace.
+            " { \"op\" : \"query\" ,\t\"tenant\"\r\n: 3 } ",
+            "{\"op\":\"query\",\"tenant\":3}\n",
+            "\t{}\t",
+            // Number spellings.
+            r#"{"op":"query","tenant":1e2}"#,
+            r#"{"op":"query","tenant":1.0}"#,
+            r#"{"op":"query","tenant":-0}"#,
+            r#"{"op":"query","tenant":9007199254740993}"#,
+            r#"{"op":"query","tenant":9007199254740992}"#,
+            r#"{"op":"query","tenant":1e999}"#,
+            r#"{"op":"query","tenant":-1}"#,
+            r#"{"op":"query","tenant":0.5}"#,
+            r#"{"op":"query","tenant":1.2.3}"#,
+            r#"{"op":"query","tenant":-}"#,
+            r#"{"op":"query","tenant":01}"#,
+            r#"{"op":"departure","tenant":1,"slot":0.5}"#,
+            r#"{"op":"departure","tenant":1,"slot":1E0}"#,
+            r#"{"op":"arrival","tenant":1,"passive_ms":1e2,"t_max_ms":-0}"#,
+            r#"{"op":"arrival","tenant":1,"passive_ms":0.04,"t_max_ms":1e16}"#,
+            r#"{"op":"arrival","tenant":1,"passive_ms":1e-400,"t_max_ms":1e300}"#,
+            // Nested or mistyped values in flat fields.
+            r#"{"op":"query","tenant":[1]}"#,
+            r#"{"op":"query","tenant":{"n":1}}"#,
+            r#"{"op":"query","tenant":"1"}"#,
+            r#"{"op":"query","tenant":true}"#,
+            r#"{"op":["query"],"tenant":1}"#,
+            r#"{"op":null,"tenant":1}"#,
+            r#"{"op":"mode","tenant":1,"slot":{"s":0},"mode":"active"}"#,
+            r#"{"op":"mode","tenant":1,"slot":0,"mode":["active"]}"#,
+            r#"{"op":"replicate","tenant":1,"source":7,"kind":"retire"}"#,
+            r#"{"op":"replicate","tenant":1,"source":"d0","kind":{"k":"retire"}}"#,
+            r#"{"op":"metrics","format":["prometheus"]}"#,
+            r#"{"op":"register","tenant":1,"cores":2,"rt":{"wcet_ms":1}}"#,
+            r#"{"op":"register","tenant":1,"cores":2,"rt":"x"}"#,
+            r#"{"op":"register","tenant":1,"cores":2,"rt":[{"wcet_ms":"1","period_ms":5,"core":0}]}"#,
+            r#"{"op":"register","tenant":1,"cores":2,"rt":[{"wcet_ms":1,"period_ms":5,"core":0.5}]}"#,
+            r#"{"op":"register","tenant":1,"cores":2,"rt":[7]}"#,
+            r#"{"op":"import","tenant":1,"journal":5}"#,
+            r#"{"op":"import","tenant":1,"journal":"x"}"#,
+            r#"{"op":"import","tenant":1,"journal":{"cores":2}}"#,
+            r#"{"op":"replicate","tenant":1,"source":"d0","kind":"append","at":3,"entry":"x"}"#,
+            r#"{"op":"replicate","tenant":1,"source":"d0","kind":"append","at":3,"entry":{"event":"departure","slot":0}}"#,
+            r#"{"op":"replicate","tenant":1,"source":"d0","kind":"append","entry":{"event":"departure","slot":0}}"#,
+            // Trailing data and broken structure.
+            r#"{"op":"query","tenant":1} x"#,
+            r#"{"op":"query","tenant":1}}"#,
+            r#"{"op":"query","tenant":1,}"#,
+            r#"{"op":"query" "tenant":1}"#,
+            r#"{"op":"query","tenant"}"#,
+            r#"{"op":"query",tenant:1}"#,
+            r#"{"op":"query","tenant":1"#,
+            r#"{"op":"query","tenant":tru}"#,
+            r#"{"op":"query","tenant":nul}"#,
+            "{",
+            "}",
+            "",
+            "not json at all",
+            // Non-object documents.
+            "[1,2]",
+            "5",
+            r#""op""#,
+            "null",
+            // Unknown ops and missing fields.
+            r#"{"op":"warp","tenant":1}"#,
+            r#"{"op":"warp"}"#,
+            r#"{"op":""}"#,
+            r#"{"tenant":1}"#,
+            "{}",
+            r#"{"op":"query"}"#,
+            r#"{"op":"register","tenant":1,"rt":[]}"#,
+            r#"{"op":"register","tenant":1,"cores":2}"#,
+            r#"{"op":"arrival","tenant":1,"t_max_ms":50}"#,
+            r#"{"op":"arrival","tenant":1,"passive_ms":400,"active_ms":100,"t_max_ms":5000}"#,
+            r#"{"op":"wcet_update","tenant":1,"slot":0,"passive_ms":1}"#,
+            r#"{"op":"mode","tenant":1,"mode":"active"}"#,
+            r#"{"op":"mode","tenant":1,"slot":0}"#,
+            r#"{"op":"replicate","tenant":1,"kind":"retire"}"#,
+            r#"{"op":"replicate","tenant":1,"source":"d0"}"#,
+            r#"{"op":"replicate","tenant":1,"source":"d0","kind":"reset"}"#,
+            r#"{"op":"replicate","tenant":1,"source":"d0","kind":"warp"}"#,
+            r#"{"op":"import","tenant":1}"#,
+            // Control bytes.
+            "{\"op\":\"query\",\"tenant\":1,\"x\":\"a\u{1}b\"}",
+            "{\"op\":\"query\",\"tenant\":1,\"x\":\"a\tb\"}",
+            "{\"op\":\"query\u{0}\",\"tenant\":1}",
+            "\u{1}",
+            // Non-ASCII text.
+            r#"{"op":"query","tenant":1,"ключ":"значение ✓"}"#,
+            r#"{"op":"replicate","tenant":1,"source":"dé✓","kind":"retire"}"#,
+            // Stats and metrics with extra members.
+            r#"{"op":"stats","tenant":"x","rt":[[[]]]}"#,
+            r#"{"format":"prometheus","op":"metrics"}"#,
+        ];
+        for line in lines
+            .iter()
+            .copied()
+            .chain(owned.iter().map(String::as_str))
+        {
+            assert_parse_parity(line);
+        }
+    }
+
+    /// Every request and response of recorded fleet workloads (three
+    /// seeds), through the codec and the reference: requests arrive as
+    /// protocol lines, an engine answers them, and both renderers must
+    /// agree byte for byte on every answer.
+    #[test]
+    fn codec_matches_the_reference_on_recorded_workloads() {
+        for seed in 1..=3 {
+            let config = hydra_experiments::service::ServiceConfig {
+                tenants: 16,
+                requests: 1_500,
+                shards: 1,
+                batch: 64,
+                seed,
+            };
+            let recorded = hydra_experiments::service::record_workload(&config);
+            let mut engine =
+                crate::engine::AdaptEngine::new(rts_analysis::semi::CarryInStrategy::TopDiff);
+            let lines = recorded.protocol_lines();
+            assert_eq!(lines.len(), recorded.setup.len() + config.requests);
+            for (seq, line) in lines.iter().enumerate() {
+                assert_parse_parity(line);
+                let request = parse_request(line).expect("recorded lines parse");
+                assert_eq!(
+                    render_request(&request),
+                    reference::render_request(&request)
+                );
+                assert_eq!(&render_request(&request), line);
+                assert_render_parity(seq as u64, &engine.handle(&request));
+            }
+        }
     }
 }

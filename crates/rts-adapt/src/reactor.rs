@@ -9,11 +9,15 @@
 //! incoming connections across them) and its own submit/receive lane
 //! ([`EngineLane`]) over one shared shard pool.
 //!
-//! * **Accept** — each listener is polled for readiness; connections
-//!   beyond the reactor's share of the global `--max-conns` budget are
-//!   refused with one protocol error line and closed, never queued.
-//! * **Read** — per-connection buffers accumulate bytes until a newline;
-//!   complete lines are parsed and dispatched into the
+//! * **Accept** — each listener is polled for readiness; accepted
+//!   sockets get `TCP_NODELAY`. Connections beyond the reactor's share
+//!   of the global `--max-conns` budget are refused with one protocol
+//!   error line, half-closed, and drained of input until the peer
+//!   closes or [`REFUSAL_LINGER`] passes — never queued, and never
+//!   reset under the refusal line by unread input.
+//! * **Read** — socket reads land in one reactor-owned chunk and are
+//!   appended to the connection's buffer until a newline; complete
+//!   lines are parsed (see [`proto::parse_command`]) and dispatched into the
 //!   [`ShardedEngine`]'s per-shard FIFO queues, tagged with a token that
 //!   packs `(connection slot, per-connection seq)` into the envelope's
 //!   `u64`; on a lane, the lane id rides the top byte (see
@@ -34,13 +38,14 @@
 //!   completion path is batched end to end: a worker sends **one**
 //!   channel message carrying every answer of a dispatched batch and
 //!   rings the submitting lane's waker **once** per batch.
-//! * **Write** — responses are re-ordered per connection by sequence
-//!   number (a connection's answers always arrive in line order,
-//!   exactly like the threaded front end) and queued as one buffer per
-//!   response line. Egress is gathered: each readiness pass drains a
-//!   connection with `writev` over every queued response — one syscall
-//!   covers however many responses accumulated, instead of one write
-//!   per response. Write interest is registered only while a backlog
+//! * **Write** — each connection owns one contiguous egress buffer.
+//!   An answer that is next in line order is rendered straight into it
+//!   ([`proto::render_response_into`]); only an answer that arrives
+//!   ahead of an earlier one waits, as bytes, until the gap closes, so
+//!   a connection's answers always leave in line order, exactly like
+//!   the threaded front end. Each readiness pass drains the buffer with
+//!   one `write` — one syscall covers however many responses
+//!   accumulated. Write interest is registered only while a backlog
 //!   exists.
 //!
 //! Backpressure is per connection and two-sided: a connection pauses
@@ -80,7 +85,7 @@
 //! stop loses no accepted delta.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, IoSlice, Read as _};
+use std::io::{self, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -94,7 +99,7 @@ use rts_analysis::semi::CarryInStrategy;
 use crate::engine::{Request, Response};
 use crate::journal::JournalDir;
 use crate::proto::{self, Command, ConnStats, ReactorStats};
-use crate::server::{oversized_reason, refuse_connection, MAX_LINE_BYTES};
+use crate::server::{oversized_reason, send_refusal, MAX_LINE_BYTES, REFUSAL_LINGER};
 use crate::shard::{
     EngineLane, ResponseMeta, ResponseNotifier, ShardReport, ShardSnapshot, ShardedEngine,
 };
@@ -128,12 +133,14 @@ const WRITE_BACKLOG_HIGH: usize = 1 << 20;
 /// Bytes read from one socket per readiness event before yielding to
 /// other connections (level-triggered polling re-delivers the rest).
 const READ_BUDGET: usize = 1 << 20;
+/// Size of the reactor's one read chunk (each `read` call's ceiling).
+const READ_CHUNK: usize = 64 * 1024;
+/// Egress capacity a connection keeps once its buffer has drained; a
+/// burst beyond it is given back instead of pinned for the
+/// connection's lifetime.
+const EGRESS_RETAIN: usize = 64 * 1024;
 /// How long a draining reactor waits for in-flight answers to flush.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
-/// Most buffers gathered into one `writev` call (the shim additionally
-/// clips at the kernel's `IOV_MAX`); a connection with more queued
-/// responses simply loops.
-const MAX_WRITEV_IOVECS: usize = 512;
 /// Ceiling of the adaptive dispatch threshold: under sustained load a
 /// pass submits to the shards every this-many parsed requests.
 const DISPATCH_BATCH_MAX: usize = 512;
@@ -363,23 +370,19 @@ impl Pool {
     }
 }
 
-/// A rendered answer awaiting its in-order turn, plus the trace stamps
-/// it carries if it came out of the engine with telemetry on.
+/// `(tenant, worker stamps)` of a traced engine response; stats,
+/// metrics and error lines carry none (they never enter a shard queue,
+/// so they have no lifecycle to trace).
+type Trace = Option<(u64, ResponseMeta)>;
+
+/// A rendered answer (newline included) that arrived ahead of its
+/// in-order turn.
 struct PendingLine {
-    line: String,
-    /// `(tenant, worker stamps)` for traced engine responses; `None`
-    /// for stats/metrics/error lines (those never enter a shard queue,
-    /// so they have no lifecycle to trace).
-    trace: Option<(u64, ResponseMeta)>,
+    bytes: Vec<u8>,
+    trace: Trace,
 }
 
-impl PendingLine {
-    fn untraced(line: String) -> PendingLine {
-        PendingLine { line, trace: None }
-    }
-}
-
-/// A traced response whose bytes sit in a connection's response queue:
+/// A traced response whose bytes sit in a connection's egress buffer:
 /// once the cumulative flushed offset covers `end`, the request's flush
 /// and total stages are known and the slow ring gets its entry.
 struct FlushTag {
@@ -410,13 +413,10 @@ struct Conn {
     next_write: u64,
     /// Rendered answers that arrived ahead of `next_write`.
     pending: BTreeMap<u64, PendingLine>,
-    /// In-order response buffers awaiting egress, one per line; drained
-    /// front-to-back by gathered `writev`.
-    outq: VecDeque<Vec<u8>>,
-    /// Flushed prefix of `outq`'s front buffer.
-    head_written: usize,
-    /// Unflushed bytes across `outq`.
-    backlog: usize,
+    /// In-order response lines not yet written to the socket.
+    egress: Vec<u8>,
+    /// Response lines with at least one byte in `egress`.
+    egress_lines: u64,
     /// Cumulative bytes flushed to the socket over the connection's
     /// lifetime (the offset space [`FlushTag::end`] lives in).
     sent: u64,
@@ -427,7 +427,7 @@ struct Conn {
     /// Pass tick at which the oldest unconsumed bytes arrived — the
     /// start of every request parsed out of the current buffer.
     read_ns: u64,
-    /// Traced responses in `outq`, in queue order.
+    /// Traced responses in `egress`, in line order.
     flush_tags: VecDeque<FlushTag>,
     /// Requests dispatched to the pool and not yet answered. The slot
     /// (and its envelope token) stays reserved until this reaches zero,
@@ -442,6 +442,10 @@ struct Conn {
     paused: bool,
     /// Interest currently registered with the poller.
     interest: Option<Interest>,
+    /// Set on a refused connection: it has been sent the refusal line
+    /// and half-closed, and is read only to discard input until EOF or
+    /// this deadline. It holds a slot but is not counted live.
+    refusing: Option<Instant>,
 }
 
 impl Conn {
@@ -453,9 +457,8 @@ impl Conn {
             next_seq: 0,
             next_write: 0,
             pending: BTreeMap::new(),
-            outq: VecDeque::new(),
-            head_written: 0,
-            backlog: 0,
+            egress: Vec::new(),
+            egress_lines: 0,
             sent: 0,
             accept_ns,
             accept_done: false,
@@ -466,21 +469,69 @@ impl Conn {
             dead: false,
             paused: false,
             interest: None,
+            refusing: None,
         }
     }
 
     fn write_backlog(&self) -> usize {
-        self.backlog
+        self.egress.len()
     }
 
     /// Drops every queued byte and tag (the socket is gone; nobody will
     /// read them).
     fn clear_egress(&mut self) {
         self.pending.clear();
-        self.outq.clear();
-        self.head_written = 0;
-        self.backlog = 0;
+        self.egress.clear();
+        self.egress_lines = 0;
         self.flush_tags.clear();
+    }
+
+    /// Hands answer `seq` to the connection: rendered straight into the
+    /// egress buffer when it is the next answer owed (followed by any
+    /// parked answers that were waiting on it), otherwise parked in
+    /// `pending`. Returns the lines that entered the egress buffer.
+    fn deliver(
+        &mut self,
+        seq: u64,
+        trace: Trace,
+        telemetry: &Telemetry,
+        pass_ns: u64,
+        render: impl FnOnce(&mut Vec<u8>),
+    ) -> u64 {
+        if seq != self.next_write {
+            let mut bytes = Vec::new();
+            render(&mut bytes);
+            bytes.push(b'\n');
+            self.pending.insert(seq, PendingLine { bytes, trace });
+            return 0;
+        }
+        render(&mut self.egress);
+        self.egress.push(b'\n');
+        self.queued(trace, telemetry, pass_ns);
+        let mut lines = 1;
+        while let Some(parked) = self.pending.remove(&self.next_write) {
+            self.egress.extend_from_slice(&parked.bytes);
+            self.queued(parked.trace, telemetry, pass_ns);
+            lines += 1;
+        }
+        lines
+    }
+
+    /// Books the line just appended to `egress` as answer `next_write`:
+    /// a traced answer records its respond stage and gets a flush tag.
+    fn queued(&mut self, trace: Trace, telemetry: &Telemetry, pass_ns: u64) {
+        if let Some((tenant, meta)) = trace {
+            telemetry.record_stage(Stage::Respond, pass_ns.saturating_sub(meta.solved_ns));
+            self.flush_tags.push_back(FlushTag {
+                end: self.sent + self.egress.len() as u64,
+                tenant,
+                seq: self.next_write,
+                meta,
+                respond_ns: pass_ns,
+            });
+        }
+        self.next_write += 1;
+        self.egress_lines += 1;
     }
 
     /// Two-sided pause with hysteresis, so a connection at the
@@ -516,6 +567,10 @@ struct Reactor {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
+    /// Refused connections' `(deadline, slot)`, oldest first.
+    lingering: VecDeque<(Instant, usize)>,
+    /// The one buffer every socket read lands in.
+    read_chunk: Vec<u8>,
     /// This reactor's share of the connection budget.
     max_conns: usize,
     /// The whole front's budget (what refusal lines and the `conns`
@@ -536,9 +591,10 @@ struct Reactor {
     parse_errors: u64,
     accepted_conns: u64,
     refused_conns: u64,
-    /// Gathered write syscalls issued (the per-reactor metric).
+    /// Egress write syscalls issued (the per-reactor metric).
     flush_passes: u64,
-    /// Iovecs submitted across those syscalls.
+    /// Response lines submitted across those syscalls (a line split by
+    /// a short write counts once per call it is part of).
     iovecs_written: u64,
 }
 
@@ -588,23 +644,16 @@ impl Reactor {
         while let Some(listener) = &self.listener {
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.live >= self.max_conns {
-                        self.refused_conns += 1;
-                        // Best effort on a non-blocking socket: the
-                        // refusal line is one small write into an empty
-                        // send buffer, lost only if the peer is already
-                        // gone.
-                        let _ = stream.set_nonblocking(true);
-                        refuse_connection(stream, self.global_max);
-                        continue;
-                    }
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let idx = self.free.pop().unwrap_or_else(|| {
-                        self.conns.push(None);
-                        self.conns.len() - 1
-                    });
+                    if self.live >= self.max_conns {
+                        self.refused_conns += 1;
+                        self.refuse(stream);
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    let idx = self.claim_slot();
                     self.live += 1;
                     self.accepted_conns += 1;
                     let mut conn = Conn::new(stream, self.pass_ns);
@@ -619,6 +668,62 @@ impl Reactor {
                 }
             }
         }
+    }
+
+    fn claim_slot(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        })
+    }
+
+    /// Sends an over-cap connection the refusal line, half-closes it and
+    /// parks it in a refusing slot that discards input until the peer
+    /// closes or [`REFUSAL_LINGER`] passes (see [`send_refusal`]). With
+    /// no slot to spare it is closed at once.
+    fn refuse(&mut self, stream: TcpStream) {
+        send_refusal(&stream, self.global_max);
+        if self.free.is_empty() && self.conns.len() >= MAX_SLOTS - CONN_BASE {
+            return;
+        }
+        let deadline = Instant::now() + REFUSAL_LINGER;
+        let idx = self.claim_slot();
+        let mut conn = Conn::new(stream, self.pass_ns);
+        conn.refusing = Some(deadline);
+        self.update_interest(idx, &mut conn);
+        self.conns[idx] = Some(conn);
+        self.lingering.push_back((deadline, idx));
+    }
+
+    /// Closes the refused connections whose linger deadline has passed.
+    fn expire_refusals(&mut self, now: Instant) {
+        while let Some(&(deadline, idx)) = self.lingering.front() {
+            if deadline > now {
+                break;
+            }
+            self.lingering.pop_front();
+            // The slot may have been released (peer EOF) and reused.
+            if self.conns[idx]
+                .as_ref()
+                .is_some_and(|conn| conn.refusing == Some(deadline))
+            {
+                let conn = self.conns[idx].take().expect("slot checked above");
+                self.release(idx, &conn);
+            }
+        }
+    }
+
+    /// Frees a finished connection's slot; dropping `conn` afterwards
+    /// closes its socket.
+    fn release(&mut self, idx: usize, conn: &Conn) {
+        if conn.interest.is_some() {
+            let fd = conn.stream.as_raw_fd();
+            let _ = self.registry.deregister(&mut SourceFd(&fd));
+        }
+        if conn.refusing.is_none() {
+            self.live -= 1;
+        }
+        self.free.push(idx);
     }
 
     /// Applies one readiness event to a connection: errors kill it,
@@ -637,10 +742,9 @@ impl Reactor {
             return;
         }
         let was_empty = conn.read_buf.is_empty();
-        let mut chunk = [0u8; 64 * 1024];
         let mut taken = 0;
         loop {
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.read_chunk) {
                 Ok(0) => {
                     conn.read_closed = true;
                     break;
@@ -648,8 +752,11 @@ impl Reactor {
                 Ok(n) => {
                     // Oversized floods are discarded by the parser each
                     // service pass, so the buffer stays bounded by this
-                    // event's read budget plus one partial line.
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
+                    // event's read budget plus one partial line. A
+                    // refusing connection's input is dropped here.
+                    if conn.refusing.is_none() {
+                        conn.read_buf.extend_from_slice(&self.read_chunk[..n]);
+                    }
                     taken += n;
                     if taken >= READ_BUDGET {
                         break;
@@ -664,7 +771,7 @@ impl Reactor {
                 }
             }
         }
-        if taken > 0 {
+        if taken > 0 && conn.refusing.is_none() {
             // Both stamps reuse the pass tick — no clock read here.
             if was_empty {
                 conn.read_ns = self.pass_ns;
@@ -678,9 +785,9 @@ impl Reactor {
     }
 
     /// Drains every response the workers have finished for this
-    /// reactor, re-ordering each into its connection's pending map (or
-    /// dropping it if the connection died) and recording the slots that
-    /// need service.
+    /// reactor into its connection's egress buffer (or pending map, if
+    /// it arrived out of line order; dropped if the connection died) and
+    /// records the slots that need service.
     fn route_responses(&mut self, touched: &mut Vec<usize>) {
         while let Some((packed, response, meta)) = self.pool.try_recv_traced() {
             let idx = ((packed >> SEQ_BITS) & SLOT_MASK) as usize;
@@ -693,52 +800,42 @@ impl Reactor {
                 // `solved_ns == 0` marks an untraced response (telemetry
                 // off): no stamps to carry forward.
                 let trace = (meta.solved_ns != 0).then(|| (response.tenant(), meta));
-                conn.pending.insert(
-                    seq,
-                    PendingLine {
-                        line: proto::render_response(seq, &response),
-                        trace,
-                    },
-                );
+                self.responses += conn.deliver(seq, trace, &self.telemetry, self.pass_ns, |out| {
+                    proto::render_response_into(out, seq, &response);
+                });
             }
             touched.push(idx);
         }
     }
 
-    /// Answers one parsed line: `stats`/`metrics` are served from the
-    /// reactor thread (they never enter a shard queue), engine requests
-    /// join `batch` tagged with the packed token and their read stamp,
-    /// parse failures get an error line. Shared by the in-stream and
-    /// EOF-partial-line sites of [`Reactor::parse_lines`].
-    fn answer_command(
+    /// Answers the connection's next line, consuming its seq:
+    /// `stats`/`metrics` are served from the reactor thread (they never
+    /// enter a shard queue), engine requests join `batch` tagged with
+    /// the packed token and their read stamp, parse failures and
+    /// oversized lines get an error line. Shared by every line site of
+    /// [`Reactor::parse_lines`].
+    fn answer_line(
         &mut self,
         idx: usize,
         conn: &mut Conn,
-        seq: u64,
         parsed: Result<Command, String>,
         batch: &mut Vec<(u64, Request, u64)>,
     ) {
-        match parsed {
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        self.requests += 1;
+        let line = match parsed {
             Ok(Command::Stats) => {
                 let (conns, reactors) = self.observability();
-                let line = proto::render_stats(seq, &self.pool.snapshots(), conns, &reactors);
-                conn.pending.insert(seq, PendingLine::untraced(line));
+                proto::render_stats(seq, &self.pool.snapshots(), conns, &reactors)
             }
             Ok(Command::Metrics) => {
                 let (conns, reactors) = self.observability();
-                let report = self.pool.metrics_report(conns, reactors);
-                conn.pending.insert(
-                    seq,
-                    PendingLine::untraced(proto::render_metrics(seq, &report)),
-                );
+                proto::render_metrics(seq, &self.pool.metrics_report(conns, reactors))
             }
             Ok(Command::MetricsText) => {
                 let (conns, reactors) = self.observability();
-                let report = self.pool.metrics_report(conns, reactors);
-                conn.pending.insert(
-                    seq,
-                    PendingLine::untraced(proto::render_metrics_text(seq, &report)),
-                );
+                proto::render_metrics_text(seq, &self.pool.metrics_report(conns, reactors))
             }
             Ok(Command::Engine(request)) => {
                 self.telemetry
@@ -746,13 +843,16 @@ impl Reactor {
                 batch.push((((idx as u64) << SEQ_BITS) | seq, request, conn.read_ns));
                 conn.in_flight += 1;
                 self.pass_arrivals += 1;
+                return;
             }
             Err(reason) => {
                 self.parse_errors += 1;
-                let line = proto::render_response(seq, &Response::Error { tenant: 0, reason });
-                conn.pending.insert(seq, PendingLine::untraced(line));
+                proto::render_response(seq, &Response::Error { tenant: 0, reason })
             }
-        }
+        };
+        self.responses += conn.deliver(seq, None, &self.telemetry, self.pass_ns, |out| {
+            out.extend_from_slice(line.as_bytes());
+        });
     }
 
     /// Parses complete lines out of `conn`'s read buffer (respecting the
@@ -771,7 +871,7 @@ impl Reactor {
                     Some(rel) => {
                         consumed += rel + 1;
                         conn.skipping = false;
-                        self.answer_error(conn, oversized_reason());
+                        self.answer_line(idx, conn, Err(oversized_reason()), batch);
                     }
                     None => {
                         // All garbage; drop it and wait for the newline.
@@ -781,7 +881,7 @@ impl Reactor {
                             // EOF ends the oversized line, like the
                             // blocking reader's EOF case.
                             conn.skipping = false;
-                            self.answer_error(conn, oversized_reason());
+                            self.answer_line(idx, conn, Err(oversized_reason()), batch);
                         }
                         break;
                     }
@@ -791,14 +891,9 @@ impl Reactor {
             match conn.read_buf[consumed..].iter().position(|&b| b == b'\n') {
                 Some(rel) => {
                     let end = consumed + rel;
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    self.requests += 1;
-                    let parsed = std::str::from_utf8(&conn.read_buf[consumed..end])
-                        .map_err(|_| "invalid UTF-8".to_string())
-                        .and_then(|text| proto::parse_command(text.trim()));
+                    let parsed = proto::parse_line(&conn.read_buf[consumed..end]);
                     consumed = end + 1;
-                    self.answer_command(idx, conn, seq, parsed, batch);
+                    self.answer_line(idx, conn, parsed, batch);
                 }
                 None => {
                     if conn.read_buf.len() - consumed > MAX_LINE_BYTES {
@@ -811,14 +906,9 @@ impl Reactor {
                     }
                     if conn.read_closed && conn.read_buf.len() > consumed {
                         // EOF: a partial unterminated line still counts.
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        self.requests += 1;
-                        let parsed = std::str::from_utf8(&conn.read_buf[consumed..])
-                            .map_err(|_| "invalid UTF-8".to_string())
-                            .and_then(|text| proto::parse_command(text.trim()));
+                        let parsed = proto::parse_line(&conn.read_buf[consumed..]);
                         consumed = conn.read_buf.len();
-                        self.answer_command(idx, conn, seq, parsed, batch);
+                        self.answer_line(idx, conn, parsed, batch);
                     }
                     break;
                 }
@@ -827,39 +917,10 @@ impl Reactor {
         conn.read_buf.drain(..consumed.min(conn.read_buf.len()));
     }
 
-    /// Answers one line with a protocol error (consuming its seq).
-    fn answer_error(&mut self, conn: &mut Conn, reason: String) {
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        self.requests += 1;
-        self.parse_errors += 1;
-        let line = proto::render_response(seq, &Response::Error { tenant: 0, reason });
-        conn.pending.insert(seq, PendingLine::untraced(line));
-    }
-
-    /// Moves in-order answers into the response queue and flushes as far
-    /// as the socket allows with gathered writes.
+    /// Flushes the connection's egress buffer as far as the socket
+    /// allows and closes the flush stage of every traced answer that
+    /// left.
     fn flush(&mut self, idx: usize, conn: &mut Conn) {
-        while let Some(pending) = conn.pending.remove(&conn.next_write) {
-            let seq = conn.next_write;
-            let mut line = pending.line.into_bytes();
-            line.push(b'\n');
-            conn.backlog += line.len();
-            conn.outq.push_back(line);
-            conn.next_write += 1;
-            self.responses += 1;
-            if let Some((tenant, meta)) = pending.trace {
-                self.telemetry
-                    .record_stage(Stage::Respond, self.pass_ns.saturating_sub(meta.solved_ns));
-                conn.flush_tags.push_back(FlushTag {
-                    end: conn.sent + conn.backlog as u64,
-                    tenant,
-                    seq,
-                    meta,
-                    respond_ns: self.pass_ns,
-                });
-            }
-        }
         self.write_out(conn);
         if conn.dead {
             conn.clear_egress();
@@ -886,46 +947,30 @@ impl Reactor {
         }
     }
 
-    /// One gathered egress pass: every queued response buffer (clipped
-    /// at [`MAX_WRITEV_IOVECS`]) goes to the socket in a single `writev`
-    /// — one syscall per pass covers however many responses accumulated,
-    /// looping only when the clip or a short write left bytes behind.
+    /// One egress pass: the whole buffer goes to the socket in a single
+    /// `write` — one syscall covers however many responses accumulated,
+    /// repeated only after a short write.
     fn write_out(&mut self, conn: &mut Conn) {
-        let fd = conn.stream.as_raw_fd();
-        while conn.backlog > 0 {
-            let mut slices: Vec<IoSlice<'_>> =
-                Vec::with_capacity(conn.outq.len().min(MAX_WRITEV_IOVECS));
-            for (i, buf) in conn.outq.iter().enumerate() {
-                if i == 0 {
-                    slices.push(IoSlice::new(&buf[conn.head_written..]));
-                } else {
-                    slices.push(IoSlice::new(buf));
-                }
-                if slices.len() >= MAX_WRITEV_IOVECS {
-                    break;
-                }
-            }
-            match mio::unix::writev(fd, &slices) {
+        while !conn.egress.is_empty() {
+            match (&conn.stream).write(&conn.egress) {
                 Ok(0) => {
                     conn.dead = true;
                     return;
                 }
                 Ok(n) => {
                     self.flush_passes += 1;
-                    self.iovecs_written += slices.len() as u64;
+                    self.iovecs_written += conn.egress_lines;
                     conn.sent += n as u64;
-                    conn.backlog -= n;
-                    let mut left = n;
-                    while left > 0 {
-                        let front_rest = conn.outq[0].len() - conn.head_written;
-                        if left >= front_rest {
-                            left -= front_rest;
-                            conn.outq.pop_front();
-                            conn.head_written = 0;
-                        } else {
-                            conn.head_written += left;
-                            left = 0;
-                        }
+                    if n == conn.egress.len() {
+                        conn.egress.clear();
+                        conn.egress.shrink_to(EGRESS_RETAIN);
+                        conn.egress_lines = 0;
+                    } else {
+                        // Lines end in the only raw newlines a rendered
+                        // answer holds.
+                        let done = conn.egress[..n].iter().filter(|&&b| b == b'\n').count();
+                        conn.egress_lines -= done as u64;
+                        conn.egress.drain(..n);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -1031,20 +1076,15 @@ impl Reactor {
         let Some(mut conn) = self.conns.get_mut(idx).and_then(Option::take) else {
             return;
         };
-        if !conn.dead {
+        if conn.dead {
+            conn.clear_egress();
+        } else if conn.refusing.is_none() {
             self.parse_lines(idx, &mut conn, batch);
             self.flush(idx, &mut conn);
-        } else {
-            conn.clear_egress();
         }
         self.update_interest(idx, &mut conn);
         if conn.finished() {
-            if conn.interest.is_some() {
-                let fd = conn.stream.as_raw_fd();
-                let _ = self.registry.deregister(&mut SourceFd(&fd));
-            }
-            self.live -= 1;
-            self.free.push(idx);
+            self.release(idx, &conn);
             // `conn` drops here, closing the socket.
         } else {
             self.conns[idx] = Some(conn);
@@ -1123,6 +1163,8 @@ fn run_reactor(
         conns: Vec::new(),
         free: Vec::new(),
         live: 0,
+        lingering: VecDeque::new(),
+        read_chunk: vec![0; READ_CHUNK],
         max_conns,
         global_max,
         reactor_id,
@@ -1158,7 +1200,15 @@ fn run_reactor(
         if reactor.draining && drain_deadline.is_some_and(|d| Instant::now() >= d) {
             break;
         }
-        let timeout = reactor.draining.then(|| Duration::from_millis(50));
+        let drain_tick = reactor.draining.then(|| Duration::from_millis(50));
+        let linger = reactor
+            .lingering
+            .front()
+            .map(|&(deadline, _)| deadline.saturating_duration_since(Instant::now()));
+        let timeout = match (drain_tick, linger) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
         poll.poll(&mut events, timeout)?;
         // The pass tick: one clock read per poll iteration, taken after
         // the (possibly long) wait so blocked time is never charged to a
@@ -1191,6 +1241,9 @@ fn run_reactor(
             reactor.service_conn(idx, &mut batch);
         }
         reactor.submit(&mut batch);
+        if !reactor.lingering.is_empty() {
+            reactor.expire_refusals(Instant::now());
+        }
         reactor.end_pass();
         // Draining exit: a whole poll interval passed with no socket
         // activity, nothing is in flight, every answer is flushed, and
@@ -1559,6 +1612,28 @@ mod tests {
         let summary = handle.join().unwrap().unwrap();
         assert_eq!(summary.requests, 2);
         assert_eq!(summary.responses, 2);
+    }
+
+    /// A refused client that sent a request before reading still gets
+    /// the whole refusal line: the reactor half-closes the refused
+    /// socket and drains its input rather than resetting it under the
+    /// line.
+    #[test]
+    fn a_refused_client_that_already_sent_a_request_reads_the_refusal() {
+        let (addr, shutdown, handle) = spawn_reactor(1, 1);
+        let mut holder = Client::connect(addr);
+        holder.send("{\"op\":\"query\",\"tenant\":9}");
+        assert!(holder.recv().contains("unknown tenant 9"));
+        for i in 0..200 {
+            let mut c = Client::connect(addr);
+            c.send("{\"op\":\"query\",\"tenant\":9}");
+            let line = c.recv();
+            assert!(line.contains("connection cap"), "attempt {i}: {line}");
+        }
+        drop(holder);
+        shutdown.request();
+        let summary = handle.join().unwrap().unwrap();
+        assert_eq!(summary.refused_conns, 200);
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! per-tenant ordering.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::engine::Response;
 use crate::proto::{self, Command, ConnStats, ReactorStats};
@@ -149,7 +150,7 @@ fn dispatch_round(
 /// The one `reactors` entry a non-reactor front reports: the serving
 /// architecture never changes the `stats`/`metrics` field set (pinned
 /// by the cross-front byte-shape parity test), and a front with no
-/// gathered egress keeps its flush counters at zero.
+/// reactor egress keeps its flush counters at zero.
 fn front_reactor(conns: ConnStats) -> ReactorStats {
     ReactorStats {
         reactor: 0,
@@ -288,10 +289,7 @@ fn serve_with<R: Read, W: Write>(
         let mut answers: Vec<RoundAnswer> = Vec::with_capacity(round.len());
         let mut submitted: Vec<(u64, Command)> = Vec::with_capacity(round.len());
         for (line_seq, text) in round.drain(..) {
-            let parsed = text.and_then(|bytes| {
-                let text = std::str::from_utf8(&bytes).map_err(|_| "invalid UTF-8".to_string())?;
-                proto::parse_command(text.trim())
-            });
+            let parsed = text.and_then(|bytes| proto::parse_line(&bytes));
             match parsed {
                 Ok(command) => submitted.push((line_seq, command)),
                 Err(reason) => {
@@ -461,6 +459,7 @@ pub fn serve_listener(
             refuse_connection(stream, max_conns);
             continue;
         }
+        let _ = stream.set_nodelay(true);
         let slot = ConnectionSlot(Arc::clone(&gauges));
         let engine = Arc::clone(engine);
         std::thread::spawn(move || {
@@ -471,18 +470,52 @@ pub fn serve_listener(
     }
 }
 
-/// Answers one over-cap connection with a bounded error line (shared by
-/// the threaded accept loop and the reactor).
-pub(crate) fn refuse_connection(mut stream: TcpStream, max_conns: usize) {
-    let line = proto::render_response(
+/// How long a refused connection is drained before it is closed.
+pub(crate) const REFUSAL_LINGER: Duration = Duration::from_secs(1);
+
+/// Sends an over-cap connection its bounded error line and half-closes
+/// it (shared by the threaded accept loop and the reactor). The caller
+/// then reads and discards until the peer's EOF, bounded by
+/// [`REFUSAL_LINGER`], before it closes the socket: closing with unread
+/// input makes the kernel answer with a reset, which can destroy the
+/// refusal line before the peer reads it. On a non-blocking socket the
+/// write is best effort — one small write into an empty send buffer.
+pub(crate) fn send_refusal(mut stream: &TcpStream, max_conns: usize) {
+    let mut line = Vec::with_capacity(96);
+    proto::render_response_into(
+        &mut line,
         0,
         &Response::Error {
             tenant: 0,
             reason: format!("server at its connection cap ({max_conns}); retry later"),
         },
     );
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+    line.push(b'\n');
+    let _ = stream.write_all(&line);
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// Refuses one over-cap connection of the threaded front: the refusal
+/// line, then a drain of the peer's input on a short-lived thread, so
+/// the accept loop never waits on a refused client.
+fn refuse_connection(stream: TcpStream, max_conns: usize) {
+    send_refusal(&stream, max_conns);
+    std::thread::spawn(move || {
+        let deadline = Instant::now() + REFUSAL_LINGER;
+        let mut sink = [0u8; 4096];
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+                return;
+            }
+            match (&stream).read(&mut sink) {
+                Ok(0) => return,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
+        }
+    });
 }
 
 /// One connection's service loop (runs on its own thread).
@@ -662,6 +695,24 @@ not json at all
         a.send("{\"op\":\"query\",\"tenant\":1}");
         assert!(b.recv().contains("\"verdict\":\"accept\""));
         assert!(a.recv().contains("\"verdict\":\"accept\""));
+    }
+
+    /// A refused client that sent a request before reading still gets
+    /// the whole refusal line: the threaded front half-closes the refused
+    /// socket and drains its input rather than resetting it under the
+    /// line.
+    #[test]
+    fn a_refused_client_that_already_sent_a_request_reads_the_refusal() {
+        let addr = spawn_server(1, 1);
+        let mut holder = Client::connect(addr);
+        holder.send("{\"op\":\"query\",\"tenant\":9}");
+        assert!(holder.recv().contains("unknown tenant 9"));
+        for i in 0..200 {
+            let mut c = Client::connect(addr);
+            c.send("{\"op\":\"query\",\"tenant\":9}");
+            let line = c.recv();
+            assert!(line.contains("connection cap"), "attempt {i}: {line}");
+        }
     }
 
     #[test]
