@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::client::{LineClient, RetryPolicy};
 use rts_adapt::journal::JournalDir;
-use rts_adapt::server::{serve_listener, shared};
+use rts_adapt::reactor::{serve_reactor, ReactorOptions, Shutdown};
 use rts_adapt::{json, Request, Response, ShardedEngine};
 use rts_analysis::semi::CarryInStrategy;
 
@@ -60,16 +60,18 @@ fn strip_seq(line: &str) -> String {
     }
 }
 
+/// Boots a journaled reactor daemon on an ephemeral port. The serve
+/// thread is detached; it dies with the process.
 fn spawn_daemon(journal: JournalDir, shards: usize) -> std::net::SocketAddr {
-    let engine = shared(ShardedEngine::with_journal(
-        CarryInStrategy::TopDiff,
-        shards,
-        journal,
-    ));
+    let options = ReactorOptions {
+        journal: Some(journal),
+        max_conns: 16,
+        ..ReactorOptions::new(CarryInStrategy::TopDiff, shards)
+    };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
-        let _ = serve_listener(&engine, &listener, 64, 16);
+        let _ = serve_reactor(listener, &options, &Shutdown::default());
     });
     addr
 }

@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! rts_adaptd [--shards N] [--batch N] [--strategy topdiff|exhaustive]
-//!            [--tcp ADDR] [--reactors N] [--threaded] [--max-conns N]
+//!            [--tcp ADDR] [--reactors N] [--max-conns N]
 //!            [--journal DIR] [--compact-every N] [--retain-archives N]
 //!            [--replicate-to ADDR --source ID] [--no-telemetry]
 //! ```
@@ -18,10 +18,13 @@
 //! (default 1) runs N reactors, each with its own `SO_REUSEPORT`
 //! listener on the same address — the kernel spreads connections across
 //! them and `--max-conns` becomes a global budget split evenly.
-//! `--threaded` selects the legacy thread-per-connection front end
-//! instead (kept for parity testing; it serves until the process is
-//! killed). `--batch` bounds request batching in the stdin and threaded
-//! modes; the reactor sizes batches adaptively by arrival rate.
+//! `--batch` bounds request batching in stdin mode; the reactor sizes
+//! batches adaptively by arrival rate.
+//!
+//! An unknown flag, a flag without its value, or a numeric value that
+//! does not parse exits with code 2 before anything is served — a
+//! supervisor script with a stale or mistyped flag fails loudly instead
+//! of running on defaults.
 //!
 //! **Graceful shutdown**: in stdin mode, EOF ends the serve loop; in
 //! reactor mode, a watcher thread waits for stdin EOF (Ctrl-D, or the
@@ -67,16 +70,63 @@ use rts_adapt::client::RetryPolicy;
 use rts_adapt::journal::JournalDir;
 use rts_adapt::reactor::{bind_reuseport_listeners, serve_reactors, ReactorOptions, Shutdown};
 use rts_adapt::replication::Replicator;
-use rts_adapt::server::{serve, serve_tcp, shared};
+use rts_adapt::server::serve;
 use rts_adapt::shard::{ShardReport, ShardedEngine};
 use rts_adapt::telemetry::Telemetry;
 use rts_analysis::semi::CarryInStrategy;
+
+/// Flags that take a value.
+const VALUE_FLAGS: [&str; 11] = [
+    "--shards",
+    "--batch",
+    "--strategy",
+    "--tcp",
+    "--reactors",
+    "--max-conns",
+    "--journal",
+    "--compact-every",
+    "--retain-archives",
+    "--replicate-to",
+    "--source",
+];
+/// Flags that stand alone.
+const SWITCHES: [&str; 1] = ["--no-telemetry"];
+
+/// Exits with code 2 (a usage error) before anything is served.
+fn usage_error(message: &str) -> ! {
+    eprintln!("rts_adaptd: {message}");
+    std::process::exit(2);
+}
+
+/// Rejects any argument that is not a known flag, and a value flag
+/// without its value.
+fn check_flags(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                usage_error(&format!("{arg} needs a value"));
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            usage_error(&format!("unknown argument {arg:?}"));
+        }
+    }
+}
 
 fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// The value of a numeric flag, or `default` when the flag is absent.
+fn count_arg(args: &[String], flag: &str, default: usize) -> usize {
+    arg_value(args, flag).map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| {
+            usage_error(&format!("{flag} expects a non-negative integer, got {v:?}"))
+        })
+    })
 }
 
 fn report_shards(reports: &[ShardReport]) {
@@ -96,32 +146,20 @@ fn fail(e: impl std::fmt::Display) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let shards = arg_value(&args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
-    let batch = arg_value(&args, "--batch")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256usize);
+    check_flags(&args);
+    let shards = count_arg(&args, "--shards", 4);
+    let batch = count_arg(&args, "--batch", 256);
     let strategy = match arg_value(&args, "--strategy") {
         None | Some("topdiff") => CarryInStrategy::TopDiff,
         Some("exhaustive") => CarryInStrategy::Exhaustive,
-        Some(other) => {
-            eprintln!("unknown strategy {other:?} (use topdiff or exhaustive)");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(&format!(
+            "unknown strategy {other:?} (use topdiff or exhaustive)"
+        )),
     };
-
-    let max_conns = arg_value(&args, "--max-conns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64usize);
-
-    let compact_every = arg_value(&args, "--compact-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(512usize);
-
-    let retain_archives = arg_value(&args, "--retain-archives")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0usize);
+    let max_conns = count_arg(&args, "--max-conns", 64);
+    let reactors = count_arg(&args, "--reactors", 1).max(1);
+    let compact_every = count_arg(&args, "--compact-every", 512);
+    let retain_archives = count_arg(&args, "--retain-archives", 0);
 
     // Replication piggybacks on the journal: the replicator mirrors
     // every journal-file mutation to the standby, and self-heals from
@@ -166,26 +204,13 @@ fn main() {
             None
         }
     };
-    let threaded = args.iter().any(|a| a == "--threaded");
     let telemetry_on = !args.iter().any(|a| a == "--no-telemetry");
-    let build_engine = |journal: Option<JournalDir>| {
-        let telemetry = if telemetry_on {
-            Telemetry::new()
-        } else {
-            Telemetry::off()
-        };
-        ShardedEngine::with_telemetry(strategy, shards, journal, None, telemetry)
-    };
 
     match arg_value(&args, "--tcp") {
-        Some(addr) if !threaded => {
+        Some(addr) => {
             // Event-driven front end. With --reactors N, every listener
             // binds the same address via SO_REUSEPORT so the kernel
             // spreads incoming connections across the reactor threads.
-            let reactors = arg_value(&args, "--reactors")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1usize)
-                .max(1);
             let parsed = addr.parse().unwrap_or_else(|e| fail(e));
             let listeners = bind_reuseport_listeners(parsed, reactors).unwrap_or_else(|e| fail(e));
             if let Ok(local) = listeners[0].local_addr() {
@@ -222,17 +247,14 @@ fn main() {
             report_shards(&summary.reports);
             flush_replication(replicator.as_ref());
         }
-        Some(addr) => {
-            // Legacy thread-per-connection front end, kept for parity
-            // testing; serves until the process is killed.
-            let engine = shared(build_engine(journal));
-            if let Err(e) = serve_tcp(&engine, addr, batch, max_conns) {
-                fail(e);
-            }
-            unreachable!("serve_tcp only returns on error");
-        }
         None => {
-            let mut engine = build_engine(journal);
+            let telemetry = if telemetry_on {
+                Telemetry::new()
+            } else {
+                Telemetry::off()
+            };
+            let mut engine =
+                ShardedEngine::with_telemetry(strategy, shards, journal, None, telemetry);
             let stdin = io::stdin().lock();
             let stdout = io::stdout().lock();
             let result = serve(&mut engine, BufReader::new(stdin), stdout, batch);

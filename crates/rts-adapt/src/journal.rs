@@ -504,10 +504,13 @@ pub struct JournalDir {
 impl JournalDir {
     /// A journal rooted at `dir` (created on first write), without
     /// automatic compaction. Opening the directory sweeps any stray
-    /// `tenant_<id>.jsonl.tmp` left by a crash between the snapshot
-    /// rewrite's `create` and `rename` — such a file is never read by
+    /// `tenant_<id>.jsonl.tmp` left by a crash between a rewrite's
+    /// `create` and `rename`, in the directory and in its replica store
+    /// ([`JournalDir::replica`]) — such a file is never read by
     /// recovery (the rename never happened, so the previous journal is
-    /// the truth) and would otherwise sit on disk forever.
+    /// the truth) and would otherwise sit on disk forever. Open the
+    /// directory before any engine writes to it: the sweep would delete
+    /// a live writer's in-flight rewrite.
     #[must_use]
     pub fn at(dir: impl Into<PathBuf>) -> Self {
         let dir = JournalDir {
@@ -517,6 +520,7 @@ impl JournalDir {
             replicate: None,
         };
         dir.sweep_stray_tmp();
+        dir.replica().sweep_stray_tmp();
         dir
     }
 
@@ -586,16 +590,18 @@ impl JournalDir {
     /// journals so boot recovery never installs a replica as a live
     /// tenant; no compaction and no onward replication apply (the
     /// replica mirrors the primary's compaction decisions verbatim).
+    ///
+    /// This only builds a view and touches no file: every shard worker
+    /// opens one as it starts, while other shards may already be
+    /// rewriting replicas, so its stray sweep is [`JournalDir::at`]'s.
     #[must_use]
     pub fn replica(&self) -> JournalDir {
-        let replica = JournalDir {
+        JournalDir {
             dir: self.dir.join("replica"),
             compact_every: None,
             retain_archives: self.retain_archives,
             replicate: None,
-        };
-        replica.sweep_stray_tmp();
-        replica
+        }
     }
 
     /// The journal file of one tenant.
@@ -1391,8 +1397,10 @@ mod tests {
     fn stray_snapshot_tmp_is_swept_at_open_and_recovery_unaffected() {
         // A crash between the snapshot rewrite's File::create and
         // rename strands tenant_<id>.jsonl.tmp. Opening the directory
-        // must remove the stray, and boot recovery must keep answering
-        // from the intact journal it shadows.
+        // must remove the stray (in the replica store too), and boot
+        // recovery must keep answering from the intact journal it
+        // shadows. A replica view opened later must not sweep: a live
+        // writer's rewrite may be in flight.
         let root =
             std::env::temp_dir().join(format!("hydra_journal_tmpsweep_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -1408,10 +1416,17 @@ mod tests {
         std::fs::write(&stray, "{\"event\":\"register\"").unwrap();
         let unrelated = root.join("notes.tmp");
         std::fs::write(&unrelated, "operator scratch").unwrap();
+        std::fs::create_dir_all(root.join("replica")).unwrap();
+        let replica_stray = root.join("replica").join("tenant_4.jsonl.tmp");
+        std::fs::write(&replica_stray, "{\"event\":\"register\"").unwrap();
 
         let dir = JournalDir::at(&root);
         assert!(!stray.exists(), "open must sweep the stray tmp");
+        assert!(!replica_stray.exists(), "open must sweep the replica store");
         assert!(unrelated.exists(), "only journal tmps are swept");
+        std::fs::write(&replica_stray, "{\"event\":\"register\"").unwrap();
+        let _ = dir.replica();
+        assert!(replica_stray.exists(), "a replica view must not sweep");
         assert_eq!(dir.tenants(), vec![4]);
         let history = dir.load_tenant(4).unwrap();
         assert_eq!(history.events, vec![DeltaEvent::Departure { slot: 0 }]);

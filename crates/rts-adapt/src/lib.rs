@@ -20,9 +20,9 @@
 //!   worker shards with request batching and per-tenant FIFO ordering;
 //! * [`json`] / [`proto`] — a dependency-free JSON subset and the
 //!   line-delimited wire protocol;
-//! * [`server`] — the stdin and TCP front ends (the `rts_adaptd`
-//!   binary); TCP connections are served concurrently by bounded
-//!   threads over one shared engine;
+//! * [`server`] — the stdin front end of the `rts_adaptd` binary;
+//! * [`reactor`] — the TCP front end: epoll reactors serving every
+//!   connection over one shard pool, no per-connection threads;
 //! * [`telemetry`] — the observability spine: lock-free stage-latency
 //!   histograms, the monotonic tick source, and the worst-N
 //!   slow-request ring behind the `{"op":"metrics"}` verb and the
@@ -156,7 +156,7 @@ pub use reactor::{
     Shutdown,
 };
 pub use replication::{ReplPayload, ReplStats, Replicator};
-pub use server::{serve, serve_shared, serve_tcp, shared, SharedEngine};
+pub use server::serve;
 pub use shard::ShardedEngine;
 pub use telemetry::{Histogram, SlowRequest, Stage, StageSummary, Telemetry};
 pub use tenant::{ApplyError, MonitorEntry, TenantState};

@@ -419,11 +419,11 @@ pub struct ConnStats {
 }
 
 /// One serving reactor's gauges and egress counters, as reported by the
-/// `stats` and `metrics` verbs. Single-reactor and non-reactor fronts
+/// `stats` and `metrics` verbs. A single reactor and the stdin front
 /// report exactly one entry (reactor 0) so the field set — pinned by
 /// the cross-front byte-shape parity test — never depends on the
-/// serving architecture; the threaded and stdin fronts have no reactor
-/// egress, so their flush counters stay 0.
+/// serving front; the stdin front has no connections and no reactor
+/// egress, so its entry is all zeros.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ReactorStats {
     /// Reactor index (0-based).
@@ -505,7 +505,7 @@ pub fn render_stats(
 
 /// Everything the `{"op":"metrics"}` verb reports, assembled in one
 /// place (see [`crate::shard::ShardedEngine::metrics_report`]) so the
-/// reactor, threaded and stdin fronts render byte-shape-identical
+/// reactor and stdin fronts render byte-shape-identical
 /// answers from the same code path. This is the unification point for
 /// every previously ad-hoc counter in the workspace: connection
 /// gauges, shard snapshots (memo statistics included), stage-latency

@@ -1,9 +1,9 @@
 //! The event-driven serving core: epoll reactors, lock-free shard
 //! queues, no per-connection threads.
 //!
-//! [`serve_reactor`] replaces the thread-per-connection front end
-//! ([`crate::server::serve_listener`], kept for parity testing) with a
-//! non-blocking event loop over the vendored `mio` shim, and
+//! [`serve_reactor`] is the daemon's TCP front end: one non-blocking
+//! event loop over the vendored `mio` shim serving every connection
+//! (the other front, [`crate::server::serve`], pumps one stdin stream).
 //! [`serve_reactors`] scales it out: N independent reactor threads,
 //! each with its own `SO_REUSEPORT` listener (the kernel spreads
 //! incoming connections across them) and its own submit/receive lane
@@ -42,9 +42,9 @@
 //!   An answer that is next in line order is rendered straight into it
 //!   ([`proto::render_response_into`]); only an answer that arrives
 //!   ahead of an earlier one waits, as bytes, until the gap closes, so
-//!   a connection's answers always leave in line order, exactly like
-//!   the threaded front end. Each readiness pass drains the buffer with
-//!   one `write` — one syscall covers however many responses
+//!   a connection's answers always leave in line order, exactly as the
+//!   stdin front writes them. Each readiness pass drains the buffer
+//!   with one `write` — one syscall covers however many responses
 //!   accumulated. Write interest is registered only while a backlog
 //!   exists.
 //!
@@ -69,11 +69,12 @@
 //!
 //! Ordering and determinism are inherited from [`crate::shard`]: a
 //! tenant's requests stay in submission order (they enter one FIFO in
-//! line order and tenants hash to exactly one shard), so verdict
-//! populations are bit-identical to the threaded front end and
-//! invariant to the shard count, the connection fan-out, *and* the
-//! reactor count — pinned by the parity suite in
-//! `tests/proto_torture.rs`.
+//! line order and tenants hash to exactly one shard), so each
+//! connection's answers are byte-identical to the same script served
+//! through the in-process stdin front ([`crate::server::serve`]), and
+//! verdict populations are invariant to the shard count, the
+//! connection fan-out, *and* the reactor count — pinned by the parity
+//! suite in `tests/proto_torture.rs`.
 //!
 //! Graceful shutdown ([`Shutdown::request`], wired to stdin EOF by the
 //! daemon) wakes every reactor: each closes its listener so nothing new
@@ -99,7 +100,7 @@ use rts_analysis::semi::CarryInStrategy;
 use crate::engine::{Request, Response};
 use crate::journal::JournalDir;
 use crate::proto::{self, Command, ConnStats, ReactorStats};
-use crate::server::{oversized_reason, send_refusal, MAX_LINE_BYTES, REFUSAL_LINGER};
+use crate::server::{oversized_reason, MAX_LINE_BYTES};
 use crate::shard::{
     EngineLane, ResponseMeta, ResponseNotifier, ShardReport, ShardSnapshot, ShardedEngine,
 };
@@ -147,6 +148,31 @@ const DISPATCH_BATCH_MAX: usize = 512;
 /// Smoothing factor of the arrivals-per-pass EWMA that sets the
 /// dispatch threshold (≈ converges over the last ~10 passes).
 const ARRIVAL_EWMA_ALPHA: f64 = 0.2;
+
+/// How long a refused connection is drained before it is closed.
+const REFUSAL_LINGER: Duration = Duration::from_secs(1);
+
+/// Sends an over-cap connection its bounded error line and half-closes
+/// it. The reactor then reads and discards until the peer's EOF,
+/// bounded by [`REFUSAL_LINGER`], before it closes the socket: closing
+/// with unread input makes the kernel answer with a reset, which can
+/// destroy the refusal line before the peer reads it. The socket is
+/// non-blocking, so the write is best effort — one small write into an
+/// empty send buffer.
+fn send_refusal(mut stream: &TcpStream, max_conns: usize) {
+    let mut line = Vec::with_capacity(96);
+    proto::render_response_into(
+        &mut line,
+        0,
+        &Response::Error {
+            tenant: 0,
+            reason: format!("server at its connection cap ({max_conns}); retry later"),
+        },
+    );
+    line.push(b'\n');
+    let _ = stream.write_all(&line);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+}
 
 /// Cross-thread shutdown request for running [`serve_reactor`] /
 /// [`serve_reactors`] loops.
@@ -1469,26 +1495,6 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::SocketAddr;
 
-    fn spawn_reactor(
-        shards: usize,
-        max_conns: usize,
-    ) -> (
-        SocketAddr,
-        Arc<Shutdown>,
-        std::thread::JoinHandle<io::Result<ReactorSummary>>,
-    ) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shutdown = Shutdown::new();
-        let remote = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || {
-            let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
-            options.max_conns = max_conns;
-            serve_reactor(listener, &options, &remote)
-        });
-        (addr, shutdown, handle)
-    }
-
     fn spawn_reactors(
         n: usize,
         shards: usize,
@@ -1498,12 +1504,8 @@ mod tests {
         Arc<Shutdown>,
         std::thread::JoinHandle<io::Result<ReactorSummary>>,
     ) {
-        let first = mio::net::bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = first.local_addr().unwrap();
-        let mut listeners = vec![first];
-        for _ in 1..n {
-            listeners.push(mio::net::bind_reuseport(addr).unwrap());
-        }
+        let listeners = bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), n).unwrap();
+        let addr = listeners[0].local_addr().unwrap();
         let shutdown = Shutdown::new();
         let remote = Arc::clone(&shutdown);
         let handle = std::thread::spawn(move || {
@@ -1525,6 +1527,10 @@ mod tests {
             stream
                 .set_read_timeout(Some(Duration::from_secs(10)))
                 .unwrap();
+            // Without it, Nagle can hold a pipeline's tail in this
+            // socket until the server's delayed ACK, past the moment a
+            // test requests the drain — which abandons a partial line.
+            stream.set_nodelay(true).unwrap();
             let reader = BufReader::new(stream.try_clone().unwrap());
             Client { stream, reader }
         }
@@ -1556,7 +1562,7 @@ mod tests {
 
     #[test]
     fn serves_a_pipelined_session_in_seq_order() {
-        let (addr, shutdown, handle) = spawn_reactor(2, 8);
+        let (addr, shutdown, handle) = spawn_reactors(1, 2, 8);
         let mut c = Client::connect(addr);
         // Pipeline everything before reading a single answer.
         c.send(REGISTER);
@@ -1589,7 +1595,7 @@ mod tests {
 
     #[test]
     fn stats_verb_reports_shards_and_connections() {
-        let (addr, shutdown, handle) = spawn_reactor(3, 8);
+        let (addr, shutdown, handle) = spawn_reactors(1, 3, 8);
         let mut c = Client::connect(addr);
         c.send(REGISTER);
         assert!(c.recv().contains("\"verdict\":\"accept\""));
@@ -1620,7 +1626,7 @@ mod tests {
     /// line.
     #[test]
     fn a_refused_client_that_already_sent_a_request_reads_the_refusal() {
-        let (addr, shutdown, handle) = spawn_reactor(1, 1);
+        let (addr, shutdown, handle) = spawn_reactors(1, 1, 1);
         let mut holder = Client::connect(addr);
         holder.send("{\"op\":\"query\",\"tenant\":9}");
         assert!(holder.recv().contains("unknown tenant 9"));
@@ -1638,7 +1644,7 @@ mod tests {
 
     #[test]
     fn connections_beyond_the_cap_are_refused_then_admitted_again() {
-        let (addr, shutdown, handle) = spawn_reactor(1, 1);
+        let (addr, shutdown, handle) = spawn_reactors(1, 1, 1);
         let mut a = Client::connect(addr);
         a.send("{\"op\":\"query\",\"tenant\":9}");
         assert!(a.recv().contains("unknown tenant 9"));
@@ -1672,7 +1678,7 @@ mod tests {
     /// the reactor exits.
     #[test]
     fn graceful_shutdown_drains_in_flight_requests() {
-        let (addr, shutdown, handle) = spawn_reactor(2, 4);
+        let (addr, shutdown, handle) = spawn_reactors(1, 2, 4);
         let mut c = Client::connect(addr);
         c.send(REGISTER);
         c.send("{\"op\":\"arrival\",\"tenant\":1,\"passive_ms\":5342,\"t_max_ms\":10000}");
@@ -1700,7 +1706,7 @@ mod tests {
 
     #[test]
     fn idle_shutdown_returns_immediately_with_reports() {
-        let (_addr, shutdown, handle) = spawn_reactor(2, 4);
+        let (_addr, shutdown, handle) = spawn_reactors(1, 2, 4);
         shutdown.request();
         let summary = handle.join().unwrap().unwrap();
         assert_eq!(summary.requests, 0);
@@ -1803,7 +1809,7 @@ mod tests {
     /// double-count would make flush run ahead.
     #[test]
     fn slow_reader_flush_stamps_count_each_response_once() {
-        let (addr, shutdown, handle) = spawn_reactor(1, 4);
+        let (addr, shutdown, handle) = spawn_reactors(1, 1, 4);
         let mut c = Client::connect(addr);
         c.send(REGISTER);
         assert!(c.recv().contains("\"verdict\":\"accept\""));

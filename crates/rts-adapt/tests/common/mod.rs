@@ -1,19 +1,25 @@
 //! Shared harness for the rts-adapt integration tests: unique,
 //! self-cleaning temp directories, the paper's rover registration, the
-//! seeded delta-stream builder, and a bounded-retry helper for
-//! time-dependent waits (never a bare sleep — every wait has a deadline
-//! and a reason).
+//! seeded delta-stream builder, an in-process reactor daemon, and a
+//! bounded-retry helper for time-dependent waits (never a bare sleep —
+//! every wait has a deadline and a reason).
 
 // Each integration-test target compiles its own copy of this module and
 // uses a different subset of it.
 #![allow(dead_code)]
 
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use rts_adapt::journal::JournalDir;
+use rts_adapt::reactor::{serve_reactors, ReactorOptions, ReactorSummary, Shutdown};
 use rts_adapt::{Request, Response, RtSpec};
+use rts_analysis::semi::CarryInStrategy;
 use rts_model::delta::{DeltaEvent, MonitorMode, MonitorSpec};
 use rts_model::time::Duration;
 
@@ -175,4 +181,55 @@ pub fn retry<T>(what: &str, mut f: impl FnMut() -> Option<T>) -> T {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     panic!("timed out waiting for {what}");
+}
+
+/// An in-process reactor daemon serving on a background thread.
+/// Dropping it detaches the thread, which then serves until the test
+/// process exits; [`Daemon::stop`] drains it and returns its totals.
+pub struct Daemon {
+    pub addr: SocketAddr,
+    pub shutdown: Arc<Shutdown>,
+    handle: JoinHandle<std::io::Result<ReactorSummary>>,
+}
+
+impl Daemon {
+    /// Requests the drain and joins the serve thread.
+    pub fn stop(self) -> ReactorSummary {
+        self.shutdown.request();
+        self.join()
+    }
+
+    /// Joins the serve thread after a shutdown requested elsewhere.
+    pub fn join(self) -> ReactorSummary {
+        self.handle
+            .join()
+            .expect("the reactor thread panicked")
+            .expect("the reactor failed")
+    }
+}
+
+/// A TopDiff reactor daemon on one ephemeral loopback port.
+pub fn spawn_reactor(shards: usize, max_conns: usize, journal: Option<JournalDir>) -> Daemon {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let options = ReactorOptions {
+        journal,
+        max_conns,
+        ..ReactorOptions::new(CarryInStrategy::TopDiff, shards)
+    };
+    serve_in_background(vec![listener], options)
+}
+
+/// Serves already-bound `listeners` (one reactor each) on a background
+/// thread — for a daemon that must bind early and serve late, or run
+/// several reactors.
+pub fn serve_in_background(listeners: Vec<TcpListener>, options: ReactorOptions) -> Daemon {
+    let addr = listeners[0].local_addr().expect("listener address");
+    let shutdown = Shutdown::new();
+    let remote = Arc::clone(&shutdown);
+    let handle = std::thread::spawn(move || serve_reactors(listeners, &options, &remote));
+    Daemon {
+        addr,
+        shutdown,
+        handle,
+    }
 }

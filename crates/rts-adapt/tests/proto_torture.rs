@@ -10,25 +10,21 @@
 //! The event-driven front (`rts_adapt::reactor`) gets its own battery:
 //! slow-loris drip feeds, clients that vanish with responses still in
 //! flight, a thousand idle connections under one active one, over-cap
-//! refusal — plus the parity pin: the same scripted sessions against
-//! the threaded and reactor fronts (at *different* shard counts) must
-//! produce byte-identical per-connection response streams, and an
-//! orderly reactor shutdown must lose no accepted delta from the
-//! journal.
+//! refusal — plus the parity pin: the same scripted sessions through
+//! the in-process stdin pump (`serve`) and over the reactor's
+//! connections (at *different* shard counts) must produce
+//! byte-identical response streams, and an orderly reactor shutdown
+//! must lose no accepted delta from the journal.
 
 mod common;
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
 
-use common::{retry, TempDir};
+use common::{retry, serve_in_background, spawn_reactor, TempDir};
 use rts_adapt::journal::JournalDir;
-use rts_adapt::reactor::{
-    bind_reuseport_listeners, serve_reactor, serve_reactors, ReactorOptions, ReactorSummary,
-    Shutdown,
-};
-use rts_adapt::server::{serve, serve_listener, shared, ServeSummary};
+use rts_adapt::reactor::{bind_reuseport_listeners, ReactorOptions};
+use rts_adapt::server::{serve, ServeSummary};
 use rts_adapt::ShardedEngine;
 use rts_analysis::semi::CarryInStrategy;
 
@@ -176,21 +172,12 @@ fn inadmissible_or_mismatched_imports_install_nothing() {
     );
 }
 
-/// Binds an ephemeral port and serves it on a background thread over a
-/// journaled engine (the journal exercises the recovery-adjacent code
-/// paths under torture too).
-fn spawn_server(dir: &TempDir, max_conns: usize) -> std::net::SocketAddr {
-    let engine = shared(ShardedEngine::with_journal(
-        CarryInStrategy::TopDiff,
-        2,
-        JournalDir::at(dir.path()).with_compaction(2),
-    ));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        let _ = serve_listener(&engine, &listener, 8, max_conns);
-    });
-    addr
+/// A reactor over a journaled engine (the journal exercises the
+/// recovery-adjacent code paths under torture too); the serve thread is
+/// detached.
+fn spawn_journaled(dir: &TempDir, max_conns: usize) -> SocketAddr {
+    let journal = JournalDir::at(dir.path()).with_compaction(2);
+    spawn_reactor(2, max_conns, Some(journal)).addr
 }
 
 struct Client {
@@ -199,11 +186,17 @@ struct Client {
 }
 
 impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
+    fn connect(addr: SocketAddr) -> Self {
         let stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(std::time::Duration::from_secs(10)))
             .unwrap();
+        // The drain tests request a shutdown right after pipelining and
+        // are owed an answer for every line written before it. Without
+        // this, Nagle can hold the pipeline's tail in this socket until
+        // the server's delayed ACK, past the drain's quiet tick — and
+        // the drain rightly abandons a partial line.
+        stream.set_nodelay(true).unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());
         Client { stream, reader }
     }
@@ -227,7 +220,7 @@ impl Client {
 #[test]
 fn mid_request_disconnects_leave_the_server_serving() {
     let dir = TempDir::new("torture_tcp");
-    let addr = spawn_server(&dir, 8);
+    let addr = spawn_journaled(&dir, 8);
 
     // Disconnect after half a request line (no newline).
     {
@@ -235,7 +228,7 @@ fn mid_request_disconnects_leave_the_server_serving() {
         c.stream
             .write_all(b"{\"op\":\"register\",\"tenant\":1,\"cor")
             .unwrap();
-        // Dropped here: the serving thread sees EOF mid-line.
+        // Dropped here: the reactor sees EOF mid-line.
     }
     // Disconnect mid-flood: several MiB without a newline, then gone.
     {
@@ -281,7 +274,7 @@ fn mid_request_disconnects_leave_the_server_serving() {
 #[test]
 fn oversized_import_payloads_are_bounded_politely() {
     let dir = TempDir::new("torture_oversize");
-    let addr = spawn_server(&dir, 8);
+    let addr = spawn_journaled(&dir, 8);
     let mut c = Client::connect(addr);
     // A syntactically valid import line, inflated beyond the bound by a
     // giant monitors array.
@@ -314,36 +307,14 @@ fn oversized_import_payloads_are_bounded_politely() {
 // Event-driven front end (rts_adapt::reactor)
 // ---------------------------------------------------------------------
 
-/// Binds an ephemeral port and runs the reactor on a background thread.
-fn spawn_reactor(
-    shards: usize,
-    max_conns: usize,
-    journal: Option<JournalDir>,
-) -> (
-    SocketAddr,
-    Arc<Shutdown>,
-    std::thread::JoinHandle<std::io::Result<ReactorSummary>>,
-) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let shutdown = Shutdown::new();
-    let remote = Arc::clone(&shutdown);
-    let handle = std::thread::spawn(move || {
-        let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
-        options.max_conns = max_conns;
-        options.journal = journal;
-        serve_reactor(listener, &options, &remote)
-    });
-    (addr, shutdown, handle)
-}
-
 /// A slow-loris client dripping one request a few bytes at a time never
 /// blocks the reactor: a second client is served in full between the
 /// drips, and the drip-fed line is assembled and answered once its
 /// newline finally arrives.
 #[test]
 fn slow_loris_drip_feeds_are_assembled_while_others_are_served() {
-    let (addr, shutdown, handle) = spawn_reactor(2, 8, None);
+    let daemon = spawn_reactor(2, 8, None);
+    let addr = daemon.addr;
     let mut loris = Client::connect(addr);
     let mut other = Client::connect(addr);
     let line = format!("{REGISTER}\n");
@@ -359,8 +330,7 @@ fn slow_loris_drip_feeds_are_assembled_while_others_are_served() {
     assert!(loris.recv().contains("\"verdict\":\"accept\""));
     drop(loris);
     drop(other);
-    shutdown.request();
-    let summary = handle.join().unwrap().unwrap();
+    let summary = daemon.stop();
     assert_eq!(summary.accepted_conns, 2);
     assert_eq!(summary.requests, summary.responses);
 }
@@ -371,7 +341,8 @@ fn slow_loris_drip_feeds_are_assembled_while_others_are_served() {
 /// is served in full.
 #[test]
 fn mid_write_disconnects_never_wedge_the_reactor() {
-    let (addr, shutdown, handle) = spawn_reactor(2, 8, None);
+    let daemon = spawn_reactor(2, 8, None);
+    let addr = daemon.addr;
     // Pipelines a burst and disconnects without reading a byte: every
     // response is computed, routed to a dead connection, and dropped.
     {
@@ -399,8 +370,7 @@ fn mid_write_disconnects_never_wedge_the_reactor() {
         line.contains("unknown tenant 9").then_some(c)
     });
     drop(c);
-    shutdown.request();
-    let summary = handle.join().unwrap().unwrap();
+    let summary = daemon.stop();
     assert_eq!(summary.refused_conns, 0);
     // Responses routed to dead connections are dropped, never queued:
     // fewer responses than requests, and nothing wedged on the way out.
@@ -414,7 +384,8 @@ fn mid_write_disconnects_never_wedge_the_reactor() {
 #[test]
 fn a_thousand_idle_connections_hold_no_slots_hostage() {
     let idle_target = 1000;
-    let (addr, shutdown, handle) = spawn_reactor(2, idle_target + 1, None);
+    let daemon = spawn_reactor(2, idle_target + 1, None);
+    let addr = daemon.addr;
     let idle: Vec<TcpStream> = (0..idle_target)
         .map(|_| TcpStream::connect(addr).unwrap())
         .collect();
@@ -443,22 +414,9 @@ fn a_thousand_idle_connections_hold_no_slots_hostage() {
     });
     drop(c2);
     drop(c);
-    shutdown.request();
-    let summary = handle.join().unwrap().unwrap();
+    let summary = daemon.stop();
     assert!(summary.accepted_conns >= idle_target as u64 + 2);
     assert!(summary.refused_conns >= 1);
-}
-
-/// Binds an ephemeral port and serves it with the legacy
-/// thread-per-connection front end (no journal).
-fn spawn_threaded(shards: usize, max_conns: usize) -> SocketAddr {
-    let engine = shared(ShardedEngine::new(CarryInStrategy::TopDiff, shards));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        let _ = serve_listener(&engine, &listener, 8, max_conns);
-    });
-    addr
 }
 
 /// Pipelines each script on its own connection (one thread per client)
@@ -480,14 +438,33 @@ fn run_scripts(addr: SocketAddr, scripts: &[Vec<String>]) -> Vec<Vec<String>> {
     handles.into_iter().map(|h| h.join().unwrap()).collect()
 }
 
+/// Serves each script, one after another, through the in-process stdin
+/// pump over one engine with `shards` shards, and collects each
+/// script's response stream.
+fn serve_scripts(shards: usize, scripts: &[Vec<String>]) -> Vec<Vec<String>> {
+    let mut engine = ShardedEngine::new(CarryInStrategy::TopDiff, shards);
+    let streams = scripts
+        .iter()
+        .map(|script| {
+            let input: String = script.iter().map(|line| format!("{line}\n")).collect();
+            let mut out: Vec<u8> = Vec::new();
+            serve(&mut engine, BufReader::new(input.as_bytes()), &mut out, 8).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            text.lines().map(str::to_owned).collect()
+        })
+        .collect();
+    let _ = engine.shutdown();
+    streams
+}
+
 /// The parity pin: the same scripted sessions — registrations, deltas,
 /// garbage, mode flips, queries, with per-tenant connection affinity —
-/// against the threaded front at 1 shard and the reactor front at 3
-/// shards produce **byte-identical per-connection response streams**.
-/// Verdict populations are therefore invariant to both the serving
-/// architecture and the shard count.
+/// through the in-process stdin pump at 1 shard and over the reactor's
+/// concurrent connections at 3 shards produce **byte-identical
+/// per-connection response streams**. Verdict populations are therefore
+/// invariant to both the serving front and the shard count.
 #[test]
-fn reactor_and_threaded_fronts_answer_byte_identically() {
+fn reactor_and_in_process_serve_answer_byte_identically() {
     let scripts: Vec<Vec<String>> = (0..6u64)
         .map(|i| {
             let tenant = 100 + i;
@@ -513,22 +490,22 @@ fn reactor_and_threaded_fronts_answer_byte_identically() {
         })
         .collect();
 
-    let threaded = run_scripts(spawn_threaded(1, 16), &scripts);
-    let (addr, shutdown, handle) = spawn_reactor(3, 16, None);
-    let reactor = run_scripts(addr, &scripts);
-    shutdown.request();
-    let summary = handle.join().unwrap().unwrap();
+    let in_process = serve_scripts(1, &scripts);
+    let daemon = spawn_reactor(3, 16, None);
+    let reactor = run_scripts(daemon.addr, &scripts);
+    let summary = daemon.stop();
 
-    assert_eq!(threaded, reactor, "per-connection streams must match");
+    assert_eq!(in_process, reactor, "per-connection streams must match");
     let expected: usize = scripts.iter().map(Vec::len).sum();
     assert_eq!(summary.requests, expected as u64);
     assert_eq!(summary.responses, expected as u64);
 }
 
 /// The observability parity pin: `stats`, `metrics`, and the Prometheus
-/// exposition answer with the **exact same field set** on the threaded
-/// and reactor fronts. Numeric values legitimately differ (timings,
-/// process-wide counters), so every digit run is masked to `#` and the
+/// exposition answer with the **exact same field set** through the
+/// in-process stdin pump and over a reactor connection. Numeric values
+/// legitimately differ (timings, connection gauges, process-wide
+/// counters), so every digit run is masked to `#` and the
 /// remaining byte shape — field names, nesting, ordering, units — must
 /// be identical. The `slow` ring is compared element by element against
 /// one pinned shape instead: how many requests it holds depends on
@@ -578,21 +555,20 @@ fn stats_and_metrics_share_a_byte_shape_across_fronts() {
         "{\"op\":\"metrics\"}".into(),
         "{\"op\":\"metrics\",\"format\":\"prometheus\"}".into(),
     ];
-    let threaded = run_scripts(spawn_threaded(2, 16), std::slice::from_ref(&script));
-    let (addr, shutdown, handle) = spawn_reactor(2, 16, None);
-    let reactor = run_scripts(addr, std::slice::from_ref(&script));
-    shutdown.request();
-    handle.join().unwrap().unwrap();
+    let in_process = serve_scripts(2, std::slice::from_ref(&script));
+    let daemon = spawn_reactor(2, 16, None);
+    let reactor = run_scripts(daemon.addr, std::slice::from_ref(&script));
+    daemon.stop();
     // The first four lines are engine answers (covered by the strict
     // parity pin above); the last three are the observability verbs.
-    for (i, (t, r)) in threaded[0].iter().zip(&reactor[0]).enumerate().skip(4) {
-        let (t_shape, t_slow) = split_slow(&mask(t));
+    for (i, (s, r)) in in_process[0].iter().zip(&reactor[0]).enumerate().skip(4) {
+        let (s_shape, s_slow) = split_slow(&mask(s));
         let (r_shape, r_slow) = split_slow(&mask(r));
         assert_eq!(
-            t_shape, r_shape,
-            "line {i}: field sets diverged\nthreaded: {t}\nreactor:  {r}"
+            s_shape, r_shape,
+            "line {i}: field sets diverged\nin-process: {s}\nreactor:    {r}"
         );
-        for entry in t_slow.iter().chain(&r_slow) {
+        for entry in s_slow.iter().chain(&r_slow) {
             assert_eq!(entry, SLOW_ENTRY, "line {i}: slow ring entry shape");
         }
     }
@@ -606,7 +582,8 @@ fn stats_and_metrics_share_a_byte_shape_across_fronts() {
 fn orderly_reactor_shutdown_loses_no_accepted_delta() {
     let dir = TempDir::new("torture_drain_journal");
     let journal = JournalDir::at(dir.path()).with_compaction(3);
-    let (addr, shutdown, handle) = spawn_reactor(2, 4, Some(journal));
+    let daemon = spawn_reactor(2, 4, Some(journal));
+    let addr = daemon.addr;
     let mut c = Client::connect(addr);
     c.send(REGISTER);
     c.send("{\"op\":\"arrival\",\"tenant\":1,\"passive_ms\":5342,\"t_max_ms\":10000}");
@@ -618,7 +595,7 @@ fn orderly_reactor_shutdown_loses_no_accepted_delta() {
         ));
     }
     // Race the stop against the pipeline; the drain owes every answer.
-    shutdown.request();
+    daemon.shutdown.request();
     let mut last_accept = String::new();
     for _ in 0..n_flips + 2 {
         let line = c.recv();
@@ -626,7 +603,7 @@ fn orderly_reactor_shutdown_loses_no_accepted_delta() {
             last_accept = line;
         }
     }
-    let summary = handle.join().unwrap().unwrap();
+    let summary = daemon.join();
     assert_eq!(summary.requests, n_flips as u64 + 2);
     assert_eq!(summary.responses, n_flips as u64 + 2);
 
@@ -669,7 +646,8 @@ fn orderly_reactor_shutdown_loses_no_accepted_delta() {
 /// full.
 #[test]
 fn disconnect_mid_gathered_writev_pass_never_wedges_the_reactor() {
-    let (addr, shutdown, handle) = spawn_reactor(2, 8, None);
+    let daemon = spawn_reactor(2, 8, None);
+    let addr = daemon.addr;
     {
         let mut c = Client::connect(addr);
         // Synchronous setup so the burst below is pure mode churn.
@@ -702,37 +680,11 @@ fn disconnect_mid_gathered_writev_pass_never_wedges_the_reactor() {
         },
     );
     drop(c);
-    shutdown.request();
-    let summary = handle.join().unwrap().unwrap();
+    let summary = daemon.stop();
     // The dead connection's queued answers are dropped, never leaked
     // into another connection's stream or left wedging the pass.
     assert!(summary.responses <= summary.requests);
     assert_eq!(summary.refused_conns, 0);
-}
-
-/// Binds `n` `SO_REUSEPORT` listeners on one ephemeral port and runs
-/// the multi-reactor serve on a background thread.
-fn spawn_reactors(
-    n: usize,
-    shards: usize,
-    max_conns: usize,
-    journal: Option<JournalDir>,
-) -> (
-    SocketAddr,
-    Arc<Shutdown>,
-    std::thread::JoinHandle<std::io::Result<ReactorSummary>>,
-) {
-    let listeners = bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), n).unwrap();
-    let addr = listeners[0].local_addr().unwrap();
-    let shutdown = Shutdown::new();
-    let remote = Arc::clone(&shutdown);
-    let handle = std::thread::spawn(move || {
-        let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
-        options.max_conns = max_conns;
-        options.journal = journal;
-        serve_reactors(listeners, &options, &remote)
-    });
-    (addr, shutdown, handle)
 }
 
 /// The multi-reactor no-lost-delta pin: three journaled pipelines land
@@ -745,7 +697,14 @@ fn spawn_reactors(
 fn multi_reactor_drain_loses_no_accepted_delta() {
     let dir = TempDir::new("torture_drain_multi");
     let journal = JournalDir::at(dir.path()).with_compaction(3);
-    let (addr, shutdown, handle) = spawn_reactors(4, 2, 16, Some(journal));
+    let listeners = bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), 4).unwrap();
+    let options = ReactorOptions {
+        journal: Some(journal),
+        max_conns: 16,
+        ..ReactorOptions::new(CarryInStrategy::TopDiff, 2)
+    };
+    let daemon = serve_in_background(listeners, options);
+    let addr = daemon.addr;
     let tenants = [1u64, 2, 3];
     let n_flips = 16u64;
     let mut clients: Vec<(u64, Client)> = tenants
@@ -770,7 +729,7 @@ fn multi_reactor_drain_loses_no_accepted_delta() {
         })
         .collect();
     // Race the stop against all three pipelines at once.
-    shutdown.request();
+    daemon.shutdown.request();
     let mut last_accepts: Vec<(u64, String)> = Vec::new();
     for (t, c) in &mut clients {
         let mut last = String::new();
@@ -784,7 +743,7 @@ fn multi_reactor_drain_loses_no_accepted_delta() {
         last_accepts.push((*t, last));
     }
     drop(clients);
-    let summary = handle.join().unwrap().unwrap();
+    let summary = daemon.join();
     let expected = tenants.len() as u64 * (n_flips + 2);
     assert_eq!(summary.requests, expected);
     assert_eq!(summary.responses, expected);

@@ -25,16 +25,14 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::time::Duration as StdDuration;
 
-use common::{drive_stream, random_event, register_rover, rover_rt, TempDir};
+use common::{drive_stream, random_event, register_rover, rover_rt, serve_in_background, TempDir};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rts_adapt::journal::{self, JournalDir, TenantHistory};
 use rts_adapt::proto::{render_request, render_response};
-use rts_adapt::server;
-use rts_adapt::{
-    AdaptEngine, LineClient, ReplPayload, Replicator, Request, Response, RetryPolicy, ShardedEngine,
-};
+use rts_adapt::reactor::ReactorOptions;
+use rts_adapt::{AdaptEngine, LineClient, ReplPayload, Replicator, Request, Response, RetryPolicy};
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::time::Duration;
 
@@ -59,18 +57,22 @@ impl Observed {
     }
 }
 
-/// Boots an in-process standby daemon — a journaled sharded engine
-/// behind a real TCP accept loop — and returns its address. The serve
-/// thread is detached; it dies with the test process.
+/// The options of an in-process standby daemon: a journaled reactor
+/// over `dir`.
+fn standby_options(dir: &Path, strategy: CarryInStrategy, shards: usize) -> ReactorOptions {
+    ReactorOptions {
+        journal: Some(JournalDir::at(dir)),
+        max_conns: 32,
+        ..ReactorOptions::new(strategy, shards)
+    }
+}
+
+/// Boots an in-process standby daemon on an ephemeral port and returns
+/// its address. The serve thread is detached; it dies with the test
+/// process.
 fn spawn_standby(dir: &Path, strategy: CarryInStrategy, shards: usize) -> SocketAddr {
-    let engine = ShardedEngine::with_journal(strategy, shards, JournalDir::at(dir));
-    let shared = server::shared(engine);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind standby listener");
-    let addr = listener.local_addr().expect("standby address");
-    std::thread::spawn(move || {
-        let _ = server::serve_listener(&shared, &listener, 16, 32);
-    });
-    addr
+    serve_in_background(vec![listener], standby_options(dir, strategy, shards)).addr
 }
 
 /// Drops the positional `seq` echo so answers from different
@@ -351,15 +353,8 @@ fn a_heal_behind_queued_appends_never_duplicates_events() {
 
     // Only now does the standby start serving; the queued stream drains
     // through the rejection → heal → late-duplicate sequence.
-    let standby_engine = ShardedEngine::with_journal(
-        CarryInStrategy::TopDiff,
-        2,
-        JournalDir::at(standby_dir.path()),
-    );
-    let shared = server::shared(standby_engine);
-    std::thread::spawn(move || {
-        let _ = server::serve_listener(&shared, &listener, 16, 32);
-    });
+    let options = standby_options(standby_dir.path(), CarryInStrategy::TopDiff, 2);
+    let _standby = serve_in_background(vec![listener], options);
     assert!(replicator.flush(StdDuration::from_secs(10)));
     let stats = replicator.stats();
     assert!(stats.heals >= 1, "the standby never healed: {stats:?}");

@@ -1,6 +1,6 @@
 //! Concurrency soak: several clients churn register/delta/query plus
 //! the full hand-off cycle (export → evict → import) against **one**
-//! shared TCP engine, under `--max-conns` pressure (more clients than
+//! reactor daemon over TCP, under `--max-conns` pressure (more clients than
 //! connection slots, so refusals and re-admissions happen for real),
 //! with journaling and aggressive compaction on.
 //!
@@ -13,13 +13,12 @@
 mod common;
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 
-use common::{random_event, retry, rover_rt, TempDir};
+use common::{random_event, retry, rover_rt, spawn_reactor, TempDir};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::journal::{self, JournalDir, TenantHistory};
-use rts_adapt::server::{serve_listener, shared};
 use rts_adapt::{json, Request, Response, ShardedEngine};
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::delta::DeltaEvent;
@@ -167,19 +166,8 @@ fn run_client(
 #[test]
 fn soaked_engine_matches_sequential_replay_of_the_accepted_order() {
     let dir = TempDir::new("soak");
-    let engine = shared(ShardedEngine::with_journal(
-        CarryInStrategy::TopDiff,
-        3,
-        JournalDir::at(dir.path()).with_compaction(4),
-    ));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    {
-        let engine = engine.clone();
-        std::thread::spawn(move || {
-            let _ = serve_listener(&engine, &listener, 8, MAX_CONNS);
-        });
-    }
+    let journal = JournalDir::at(dir.path()).with_compaction(4);
+    let addr = spawn_reactor(3, MAX_CONNS, Some(journal)).addr;
 
     // More clients than connection slots: some are refused and must
     // retry their way in; every script still completes.

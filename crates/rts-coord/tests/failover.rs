@@ -1,5 +1,5 @@
 //! Crash-injection battery for the coordinator: in-process daemons
-//! (real sharded engines behind real TCP accept loops), a real
+//! (real sharded engines behind real epoll reactors), a real
 //! replication pipe, and deliberately induced failures at the worst
 //! moments. Pins the PR-10 safety claims:
 //!
@@ -29,8 +29,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::journal::JournalDir;
 use rts_adapt::proto::render_request;
-use rts_adapt::server;
-use rts_adapt::{Replicator, Request, RetryPolicy, RtSpec, ShardedEngine};
+use rts_adapt::reactor::{serve_reactor, ReactorOptions, Shutdown};
+use rts_adapt::{Replicator, Request, RetryPolicy, RtSpec};
 use rts_analysis::semi::CarryInStrategy;
 use rts_coord::{Coordinator, FaultAction, Step};
 use rts_model::delta::{DeltaEvent, MonitorMode, MonitorSpec};
@@ -65,11 +65,9 @@ impl Drop for TempDir {
     }
 }
 
-/// Boots an in-process daemon — a journaled sharded engine behind a
-/// real TCP accept loop, optionally replicating to `standby` — and
-/// returns its address (plus the replicator handle when replicating,
-/// so tests can flush/sever it). The serve thread is detached; it dies
-/// with the test process.
+/// Boots an in-process daemon — a journaled reactor, optionally
+/// replicating to `standby` — and returns its address (plus the
+/// replicator handle when replicating, so tests can flush/sever it).
 fn spawn_daemon(
     dir: &Path,
     standby: Option<(&str, SocketAddr)>,
@@ -86,14 +84,23 @@ fn spawn_daemon(
         handle = Some(replicator.clone());
         journal = journal.with_replication(replicator);
     }
-    let engine = ShardedEngine::with_journal(CarryInStrategy::TopDiff, 2, journal);
-    let shared = server::shared(engine);
+    (serve_detached(Some(journal)), handle)
+}
+
+/// Serves a 2-shard reactor daemon on an ephemeral port from a detached
+/// thread (it dies with the test process) and returns its address.
+fn serve_detached(journal: Option<JournalDir>) -> SocketAddr {
+    let options = ReactorOptions {
+        journal,
+        max_conns: 32,
+        ..ReactorOptions::new(CarryInStrategy::TopDiff, 2)
+    };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind daemon listener");
     let addr = listener.local_addr().expect("daemon address");
     std::thread::spawn(move || {
-        let _ = server::serve_listener(&shared, &listener, 16, 32);
+        let _ = serve_reactor(listener, &options, &Shutdown::default());
     });
-    (addr, handle)
+    addr
 }
 
 /// An address that refuses every connection: bind an ephemeral port,
@@ -180,26 +187,13 @@ fn record_answers(
         .collect()
 }
 
-/// Boots an in-process daemon with no journal — adoption on it always
-/// fails ("adoption requires a journal"), which is exactly what the
-/// quarantine drill needs.
-fn spawn_journalless_daemon() -> SocketAddr {
-    let engine = ShardedEngine::new(CarryInStrategy::TopDiff, 2);
-    let shared = server::shared(engine);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind daemon listener");
-    let addr = listener.local_addr().expect("daemon address");
-    std::thread::spawn(move || {
-        let _ = server::serve_listener(&shared, &listener, 16, 32);
-    });
-    addr
-}
-
 #[test]
 fn a_failed_adoption_quarantines_the_tenant_instead_of_replacing_it() {
     let d0_dir = TempDir::new("quarantine_d0");
     let d1_dir = TempDir::new("quarantine_d1");
-    // The standby cannot adopt anything: no journal, so no replicas.
-    let standby = spawn_journalless_daemon();
+    // The standby cannot adopt anything: no journal, so no replicas —
+    // adoption on it always fails ("adoption requires a journal").
+    let standby = serve_detached(None);
     let (d0, _) = spawn_daemon(d0_dir.path(), None);
     let (d1, _) = spawn_daemon(d1_dir.path(), None);
 
