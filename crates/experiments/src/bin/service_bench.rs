@@ -20,8 +20,7 @@
 //! (per-tenant connection affinity; surplus connections held idle).
 //! `--reactors 1,2,4` crosses it with the **reactor axis**: each
 //! replay point runs with that many `SO_REUSEPORT` reactor threads
-//! over one shared shard pool (default `1`, the classic single-reactor
-//! front). Every point of the (conns × reactors) grid must reproduce
+//! over one shared shard pool (default `1`). Every point of the (conns × reactors) grid must reproduce
 //! the recorded verdict populations *exactly* — the determinism
 //! oracle — or the run fails hard. The canonical run also records the
 //! workload's single-threaded solver floor, the honest upper bound any
@@ -53,7 +52,7 @@
 //! every trial and still trips it.
 
 use hydra_experiments::{
-    arg_f64, arg_present, arg_usize, record_workload, results_dir, run_reactor_load_at,
+    arg_f64, arg_present, arg_usize, record_workload, results_dir, run_reactor_load,
     run_service_load, run_service_load_with, ServiceConfig,
 };
 use rts_adapt::telemetry::StageSummary;
@@ -189,7 +188,7 @@ fn main() {
             for &conns in &conns_axis {
                 let at = format!("conns={conns} reactors={reactors}");
                 eprintln!("reactor replay: {conns} connections x {reactors} reactors...");
-                let replay = run_reactor_load_at(&recorded, conns, reactors, true);
+                let replay = run_reactor_load(&recorded, conns, reactors, true);
                 assert_eq!(replay.errors, 0, "{at}: protocol errors in the replay");
                 assert_eq!(
                     replay.accepted, recorded.accepted,

@@ -27,9 +27,8 @@ pub mod sweep;
 pub use fig5::{run_fig5, PeriodProtocol, SchemeAggregate};
 pub use report::{results_dir, write_figure_csv, TextTable};
 pub use service::{
-    record_workload, run_reactor_load, run_reactor_load_at, run_reactor_load_with,
-    run_service_load, run_service_load_with, ReactorLoadReport, RecordedWorkload, ServiceConfig,
-    ServiceReport,
+    record_workload, run_reactor_load, run_service_load, run_service_load_with, ReactorLoadReport,
+    RecordedWorkload, ServiceConfig, ServiceReport,
 };
 pub use stats::{percent_faster, Summary};
 pub use store::{SweepStore, SCHEMA_VERSION};

@@ -1071,15 +1071,22 @@ fn drive_connection(
     totals
 }
 
-/// Replays a recorded workload against a live [`serve_reactor`] over
-/// real TCP with `conns` connections. Tenants are assigned to
-/// connections with per-tenant affinity (a tenant's requests all ride
-/// one connection, in stream order), which is the only ordering the
-/// verdict populations need — so `accepted`/`rejected` must equal the
-/// recorded run's exactly, at every connection count. When `conns`
-/// exceeds the tenant count, the surplus connections are opened and
-/// held idle across the timed phase: the connection axis then also
-/// measures the reactor's slot-table overhead, not just parallelism.
+/// Replays a recorded workload over real TCP against a live
+/// [`serve_reactors`] front of `reactors` `SO_REUSEPORT` reactors over
+/// one shared shard pool, with `conns` connections and the reactors'
+/// telemetry switched on or off. Tenants are assigned to connections
+/// with per-tenant affinity (a tenant's requests all ride one
+/// connection, in stream order), which is the only ordering the verdict
+/// populations need. The kernel spreads the connections across the
+/// listeners, so which reactor serves a given tenant varies run to run,
+/// but a connection lives on one reactor — so `accepted`/`rejected` must
+/// equal the recorded run's exactly at every point of the
+/// (conns × reactors) grid. When `conns` exceeds the tenant count, the
+/// surplus connections are opened and held idle across the timed phase:
+/// the connection axis then also measures the reactor's slot-table
+/// overhead, not just parallelism. With telemetry off the populations
+/// are identical, and the post-run metrics query still answers, with
+/// every stage at zero count.
 ///
 /// The per-connection pipelining window is scaled so roughly 64
 /// requests are outstanding across the whole replay regardless of the
@@ -1091,41 +1098,7 @@ fn drive_connection(
 /// Panics on connection failures, on a reactor error, or if the replay
 /// loses a request.
 #[must_use]
-pub fn run_reactor_load(workload: &RecordedWorkload, conns: usize) -> ReactorLoadReport {
-    run_reactor_load_at(workload, conns, 1, true)
-}
-
-/// [`run_reactor_load`] with the reactor's telemetry switched on or
-/// off. The populations are identical either way; with telemetry off
-/// the post-run metrics query still answers, with every stage at zero
-/// count.
-///
-/// # Panics
-///
-/// As [`run_reactor_load`].
-#[must_use]
-pub fn run_reactor_load_with(
-    workload: &RecordedWorkload,
-    conns: usize,
-    telemetry: bool,
-) -> ReactorLoadReport {
-    run_reactor_load_at(workload, conns, 1, telemetry)
-}
-
-/// The full replay: `reactors` `SO_REUSEPORT` reactor threads over one
-/// shared shard pool (`reactors == 1` is the classic single-reactor
-/// serve). The kernel spreads the client connections across the
-/// listeners, so which reactor serves a given tenant varies run to run —
-/// but per-tenant order still holds (affinity keeps a tenant on one
-/// connection, and a connection lives on one reactor), so the verdict
-/// populations must equal the recorded run's at every point of the
-/// (conns × reactors) grid.
-///
-/// # Panics
-///
-/// As [`run_reactor_load`].
-#[must_use]
-pub fn run_reactor_load_at(
+pub fn run_reactor_load(
     workload: &RecordedWorkload,
     conns: usize,
     reactors: usize,
@@ -1297,7 +1270,7 @@ mod tests {
         let recorded = record_workload(&tiny());
         assert_eq!(recorded.stream.len(), 300);
         for (conns, reactors) in [(1, 1), (3, 1), (7, 1), (1, 2), (3, 2), (7, 4)] {
-            let replay = run_reactor_load_at(&recorded, conns, reactors, true);
+            let replay = run_reactor_load(&recorded, conns, reactors, true);
             let at = format!("conns={conns} reactors={reactors}");
             assert_eq!(replay.responses(), 300, "{at}");
             assert_eq!(replay.errors, 0, "{at}");
@@ -1344,7 +1317,7 @@ mod tests {
         // Over TCP with telemetry off: same populations, and the metrics
         // verb still answers with the full (all-zero) catalog.
         let recorded = record_workload(&tiny());
-        let replay = run_reactor_load_with(&recorded, 3, false);
+        let replay = run_reactor_load(&recorded, 3, 1, false);
         assert_eq!(replay.errors, 0);
         assert_eq!(replay.accepted, recorded.accepted);
         assert_eq!(replay.rejected, recorded.rejected);

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::client::{LineClient, RetryPolicy};
 use rts_adapt::journal::JournalDir;
-use rts_adapt::reactor::{serve_reactor, ReactorOptions, Shutdown};
+use rts_adapt::reactor::{serve_reactors, ReactorOptions, Shutdown};
 use rts_adapt::{json, Request, Response, ShardedEngine};
 use rts_analysis::semi::CarryInStrategy;
 
@@ -71,7 +71,7 @@ fn spawn_daemon(journal: JournalDir, shards: usize) -> std::net::SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
-        let _ = serve_reactor(listener, &options, &Shutdown::default());
+        let _ = serve_reactors(vec![listener], &options, &Shutdown::default());
     });
     addr
 }

@@ -21,10 +21,12 @@
 //! `--batch` bounds request batching in stdin mode; the reactor sizes
 //! batches adaptively by arrival rate.
 //!
-//! An unknown flag, a flag without its value, or a numeric value that
-//! does not parse exits with code 2 before anything is served — a
-//! supervisor script with a stale or mistyped flag fails loudly instead
-//! of running on defaults.
+//! An unknown flag, a flag without its value, a numeric value that
+//! does not parse, or a front the reactors cannot run (`--reactors`
+//! outside 1..=255, or a `--max-conns` below `--reactors`, which would
+//! leave a reactor without a connection slot) exits with code 2 before
+//! anything is bound or served — a supervisor script with a stale or
+//! mistyped flag fails loudly instead of running on defaults.
 //!
 //! **Graceful shutdown**: in stdin mode, EOF ends the serve loop; in
 //! reactor mode, a watcher thread waits for stdin EOF (Ctrl-D, or the
@@ -156,8 +158,14 @@ fn main() {
             "unknown strategy {other:?} (use topdiff or exhaustive)"
         )),
     };
-    let max_conns = count_arg(&args, "--max-conns", 64);
-    let reactors = count_arg(&args, "--reactors", 1).max(1);
+    let telemetry_on = !args.iter().any(|a| a == "--no-telemetry");
+    let reactors = count_arg(&args, "--reactors", 1);
+    let mut options = ReactorOptions::new(strategy, shards);
+    options.max_conns = count_arg(&args, "--max-conns", 64);
+    options.telemetry = telemetry_on;
+    options
+        .validate(reactors)
+        .unwrap_or_else(|e| usage_error(&e.to_string()));
     let compact_every = count_arg(&args, "--compact-every", 512);
     let retain_archives = count_arg(&args, "--retain-archives", 0);
 
@@ -204,7 +212,6 @@ fn main() {
             None
         }
     };
-    let telemetry_on = !args.iter().any(|a| a == "--no-telemetry");
 
     match arg_value(&args, "--tcp") {
         Some(addr) => {
@@ -216,10 +223,7 @@ fn main() {
             if let Ok(local) = listeners[0].local_addr() {
                 eprintln!("rts_adaptd listening on {local} ({reactors} reactors)");
             }
-            let mut options = ReactorOptions::new(strategy, shards);
             options.journal = journal;
-            options.max_conns = max_conns;
-            options.telemetry = telemetry_on;
             let shutdown = Shutdown::new();
             let watcher = Arc::clone(&shutdown);
             // Stdin EOF (Ctrl-D, or the supervisor closing the pipe)

@@ -152,8 +152,7 @@ pub use client::{connect_with_retry, LineClient, RetryPolicy};
 pub use engine::{AdaptEngine, Admitted, Request, Response, RtSpec};
 pub use journal::{replay, JournalDir, ReplayError, TenantHistory, TenantSnapshot};
 pub use reactor::{
-    bind_reuseport_listeners, serve_reactor, serve_reactors, ReactorOptions, ReactorSummary,
-    Shutdown,
+    bind_reuseport_listeners, serve_reactors, ReactorOptions, ReactorSummary, Shutdown,
 };
 pub use replication::{ReplPayload, ReplStats, Replicator};
 pub use server::serve;

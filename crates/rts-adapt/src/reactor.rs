@@ -1,13 +1,16 @@
 //! The event-driven serving core: epoll reactors, lock-free shard
 //! queues, no per-connection threads.
 //!
-//! [`serve_reactor`] is the daemon's TCP front end: one non-blocking
-//! event loop over the vendored `mio` shim serving every connection
-//! (the other front, [`crate::server::serve`], pumps one stdin stream).
-//! [`serve_reactors`] scales it out: N independent reactor threads,
-//! each with its own `SO_REUSEPORT` listener (the kernel spreads
-//! incoming connections across them) and its own submit/receive lane
-//! ([`EngineLane`]) over one shared shard pool.
+//! [`serve_reactors`] is the daemon's TCP front end (the other front,
+//! [`crate::server::serve`], pumps one stdin stream): one non-blocking
+//! event loop over the vendored `mio` shim per listener, serving every
+//! connection that listener accepts. Listeners bound `SO_REUSEPORT` on
+//! one address ([`bind_reuseport_listeners`]) let the kernel spread
+//! incoming connections across the reactors. Every reactor — a lone one
+//! included — submits and receives on its own [`EngineLane`] over one
+//! shared shard pool, and holds nothing else of the pool. The last
+//! reactor runs on the calling thread, so a one-reactor front is one
+//! thread.
 //!
 //! * **Accept** — each listener is polled for readiness; accepted
 //!   sockets get `TCP_NODELAY`. Connections beyond the reactor's share
@@ -17,14 +20,14 @@
 //!   reset under the refusal line by unread input.
 //! * **Read** — socket reads land in one reactor-owned chunk and are
 //!   appended to the connection's buffer until a newline; complete
-//!   lines are parsed (see [`proto::parse_command`]) and dispatched into the
-//!   [`ShardedEngine`]'s per-shard FIFO queues, tagged with a token that
-//!   packs `(connection slot, per-connection seq)` into the envelope's
-//!   `u64`; on a lane, the lane id rides the top byte (see
-//!   [`crate::shard::LANE_SHIFT`]) so workers route each answer batch
-//!   back to the reactor that submitted it. No lock is ever taken on
-//!   the request path — a reactor is its lane's single producer, each
-//!   shard worker its single consumer.
+//!   lines are parsed (see [`proto::parse_command`]) and dispatched
+//!   through the reactor's lane into the [`ShardedEngine`]'s per-shard
+//!   FIFO queues, tagged with a token that packs `(connection slot,
+//!   per-connection seq)` into the envelope's `u64`; the lane stamps its
+//!   id into the top byte (see [`crate::shard::LANE_SHIFT`]) so workers
+//!   route each answer batch back to the reactor that submitted it. No
+//!   lock is ever taken on the request path — a reactor is its lane's
+//!   single producer, each shard worker its single consumer.
 //! * **Dispatch** — batches are sized adaptively by the observed
 //!   arrival rate: an EWMA of requests-per-pass sets the submit
 //!   threshold, so a sparse trickle dispatches immediately (no
@@ -101,9 +104,7 @@ use crate::engine::{Request, Response};
 use crate::journal::JournalDir;
 use crate::proto::{self, Command, ConnStats, ReactorStats};
 use crate::server::{oversized_reason, MAX_LINE_BYTES};
-use crate::shard::{
-    EngineLane, ResponseMeta, ResponseNotifier, ShardReport, ShardSnapshot, ShardedEngine,
-};
+use crate::shard::{EngineLane, ResponseMeta, ShardReport, ShardedEngine, MAX_EXTRA_LANES};
 use crate::telemetry::{SlowRequest, Stage, Telemetry};
 
 /// The listener's poll token.
@@ -115,7 +116,7 @@ const CONN_BASE: usize = 2;
 
 /// Envelope-token split: the low 40 bits carry the per-connection line
 /// sequence, the next 16 the connection slot, and the top byte is left
-/// free for the lane id a multi-reactor submit stamps in
+/// free for the lane id the reactor's lane stamps in
 /// ([`crate::shard::LANE_SHIFT`]). 2^40 lines per connection and 2^16
 /// simultaneous slots per reactor are both far beyond reach.
 const SEQ_BITS: u32 = 40;
@@ -174,8 +175,7 @@ fn send_refusal(mut stream: &TcpStream, max_conns: usize) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
 }
 
-/// Cross-thread shutdown request for running [`serve_reactor`] /
-/// [`serve_reactors`] loops.
+/// Cross-thread shutdown request for a running [`serve_reactors`] front.
 ///
 /// The daemon arms one of these against stdin EOF; tests call
 /// [`Shutdown::request`] directly. Requesting is idempotent and may
@@ -223,9 +223,9 @@ impl Shutdown {
     }
 }
 
-/// Configuration of one [`serve_reactor`] / [`serve_reactors`] run. The
-/// reactor owns its engine pool, so it is built from this spec rather
-/// than passed in.
+/// Configuration of one [`serve_reactors`] run. The front owns its
+/// engine pool, so the pool is built from this spec rather than passed
+/// in.
 #[derive(Clone, Debug)]
 pub struct ReactorOptions {
     /// Carry-in strategy for every shard's engine.
@@ -235,9 +235,10 @@ pub struct ReactorOptions {
     /// Optional per-tenant journal persistence (replayed on startup).
     pub journal: Option<JournalDir>,
     /// Simultaneous-connection cap; connections beyond it are refused
-    /// with a protocol error line. Under [`serve_reactors`] this is a
-    /// *global* budget split evenly across the reactors (give each
-    /// reactor at least one slot: `max_conns >= reactors` is sane).
+    /// with a protocol error line. It is a *global* budget split evenly
+    /// across the reactors, the remainder to the first ones, so it must
+    /// give every reactor at least one slot (`max_conns >= reactors`,
+    /// see [`ReactorOptions::validate`]).
     pub max_conns: usize,
     /// Stage-latency telemetry (on by default). When off, the reactor
     /// takes zero clock reads on the hot path and every record call is
@@ -257,10 +258,33 @@ impl ReactorOptions {
             telemetry: true,
         }
     }
+
+    /// Checks that a front of `reactors` reactors can run under these
+    /// options: at least one reactor, at most one per spare pool lane
+    /// ([`MAX_EXTRA_LANES`]), and a connection budget that leaves every
+    /// reactor at least one slot. [`serve_reactors`] checks this before
+    /// it spawns anything; the daemon checks it before it binds.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] naming the violated bound.
+    pub fn validate(&self, reactors: usize) -> io::Result<()> {
+        let problem = if !(1..=MAX_EXTRA_LANES).contains(&reactors) {
+            format!("reactor count must be between 1 and {MAX_EXTRA_LANES}, got {reactors}")
+        } else if self.max_conns < reactors {
+            format!(
+                "connection cap {} is below the reactor count {reactors} \
+                 (every reactor needs at least one connection slot)",
+                self.max_conns
+            )
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(io::ErrorKind::InvalidInput, problem))
+    }
 }
 
-/// Totals of one [`serve_reactor`] / [`serve_reactors`] run (summed
-/// across reactors in the multi-reactor case).
+/// Totals of one [`serve_reactors`] run, summed across its reactors.
 #[derive(Debug)]
 pub struct ReactorSummary {
     /// Protocol lines received (including unparsable ones).
@@ -331,67 +355,6 @@ impl ReactorGauges {
             max,
             flush_passes: AtomicU64::new(0),
             iovecs_written: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A reactor's view of the shard pool: the single-reactor loop owns the
-/// pool outright; each multi-reactor loop shares it and submits/receives
-/// on its private [`EngineLane`].
-enum Pool {
-    Owned(ShardedEngine),
-    Shared {
-        shared: Arc<ShardedEngine>,
-        lane: EngineLane,
-    },
-}
-
-impl Pool {
-    fn install_notifier(&self, notifier: ResponseNotifier) {
-        match self {
-            Pool::Owned(pool) => pool.install_notifier(notifier),
-            Pool::Shared { lane, .. } => lane.notify().install(notifier),
-        }
-    }
-
-    fn submit_batch_traced(&mut self, batch: Vec<(u64, Request, u64)>, submit_ns: u64) {
-        match self {
-            Pool::Owned(pool) => pool.submit_batch_traced(batch, submit_ns),
-            Pool::Shared { lane, .. } => lane.submit_batch_traced(batch, submit_ns),
-        }
-    }
-
-    fn try_recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
-        match self {
-            Pool::Owned(pool) => pool.try_recv_traced(),
-            Pool::Shared { lane, .. } => lane.try_recv_traced(),
-        }
-    }
-
-    /// Requests this reactor has submitted and not yet received (other
-    /// lanes' traffic is theirs to drain).
-    fn in_flight(&self) -> usize {
-        match self {
-            Pool::Owned(pool) => pool.in_flight(),
-            Pool::Shared { lane, .. } => lane.in_flight(),
-        }
-    }
-
-    fn snapshots(&self) -> Vec<ShardSnapshot> {
-        match self {
-            Pool::Owned(pool) => pool.snapshots(),
-            Pool::Shared { shared, .. } => shared.snapshots(),
-        }
-    }
-
-    fn metrics_report(
-        &self,
-        conns: ConnStats,
-        reactors: Vec<ReactorStats>,
-    ) -> proto::MetricsReport {
-        match self {
-            Pool::Owned(pool) => pool.metrics_report(conns, reactors),
-            Pool::Shared { shared, .. } => shared.metrics_report(conns, reactors),
         }
     }
 }
@@ -583,8 +546,8 @@ impl Conn {
 
 struct Reactor {
     registry: Registry,
-    pool: Pool,
-    telemetry: Arc<Telemetry>,
+    /// The reactor's one handle on the shard pool.
+    lane: EngineLane,
     /// The pass tick: one monotonic clock read taken right after each
     /// `poll` return and reused for every event stamp in the pass (the
     /// one-read-per-iteration discipline; 0 with telemetry off).
@@ -597,8 +560,6 @@ struct Reactor {
     lingering: VecDeque<(Instant, usize)>,
     /// The one buffer every socket read lands in.
     read_chunk: Vec<u8>,
-    /// This reactor's share of the connection budget.
-    max_conns: usize,
     /// The whole front's budget (what refusal lines and the `conns`
     /// gauge report).
     global_max: usize,
@@ -673,7 +634,7 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    if self.live >= self.max_conns {
+                    if self.live >= self.gauges[self.reactor_id].max {
                         self.refused_conns += 1;
                         self.refuse(stream);
                         continue;
@@ -804,7 +765,8 @@ impl Reactor {
             }
             if !conn.accept_done {
                 conn.accept_done = true;
-                self.telemetry
+                self.lane
+                    .telemetry()
                     .record_stage(Stage::Accept, self.pass_ns.saturating_sub(conn.accept_ns));
             }
         }
@@ -815,7 +777,7 @@ impl Reactor {
     /// it arrived out of line order; dropped if the connection died) and
     /// records the slots that need service.
     fn route_responses(&mut self, touched: &mut Vec<usize>) {
-        while let Some((packed, response, meta)) = self.pool.try_recv_traced() {
+        while let Some((packed, response, meta)) = self.lane.try_recv_traced() {
             let idx = ((packed >> SEQ_BITS) & SLOT_MASK) as usize;
             let seq = packed & SEQ_MASK;
             let conn = self.conns[idx]
@@ -826,9 +788,10 @@ impl Reactor {
                 // `solved_ns == 0` marks an untraced response (telemetry
                 // off): no stamps to carry forward.
                 let trace = (meta.solved_ns != 0).then(|| (response.tenant(), meta));
-                self.responses += conn.deliver(seq, trace, &self.telemetry, self.pass_ns, |out| {
-                    proto::render_response_into(out, seq, &response);
-                });
+                self.responses +=
+                    conn.deliver(seq, trace, self.lane.telemetry(), self.pass_ns, |out| {
+                        proto::render_response_into(out, seq, &response);
+                    });
             }
             touched.push(idx);
         }
@@ -853,18 +816,19 @@ impl Reactor {
         let line = match parsed {
             Ok(Command::Stats) => {
                 let (conns, reactors) = self.observability();
-                proto::render_stats(seq, &self.pool.snapshots(), conns, &reactors)
+                proto::render_stats(seq, &self.lane.snapshots(), conns, &reactors)
             }
             Ok(Command::Metrics) => {
                 let (conns, reactors) = self.observability();
-                proto::render_metrics(seq, &self.pool.metrics_report(conns, reactors))
+                proto::render_metrics(seq, &self.lane.metrics_report(conns, reactors))
             }
             Ok(Command::MetricsText) => {
                 let (conns, reactors) = self.observability();
-                proto::render_metrics_text(seq, &self.pool.metrics_report(conns, reactors))
+                proto::render_metrics_text(seq, &self.lane.metrics_report(conns, reactors))
             }
             Ok(Command::Engine(request)) => {
-                self.telemetry
+                self.lane
+                    .telemetry()
                     .record_stage(Stage::Parse, self.pass_ns.saturating_sub(conn.read_ns));
                 batch.push((((idx as u64) << SEQ_BITS) | seq, request, conn.read_ns));
                 conn.in_flight += 1;
@@ -876,7 +840,7 @@ impl Reactor {
                 proto::render_response(seq, &Response::Error { tenant: 0, reason })
             }
         };
-        self.responses += conn.deliver(seq, None, &self.telemetry, self.pass_ns, |out| {
+        self.responses += conn.deliver(seq, None, self.lane.telemetry(), self.pass_ns, |out| {
             out.extend_from_slice(line.as_bytes());
         });
     }
@@ -961,7 +925,7 @@ impl Reactor {
             // taken only when traced responses completed this pass, it
             // is what puts the write-syscall cost inside the flush
             // stage and makes its p50 non-zero under load.
-            let now = self.telemetry.now_ns();
+            let now = self.lane.telemetry().now_ns();
             while conn
                 .flush_tags
                 .front()
@@ -1015,9 +979,10 @@ impl Reactor {
         let meta = &tag.meta;
         let flush_ns = now.saturating_sub(tag.respond_ns);
         let total_ns = now.saturating_sub(meta.read_ns);
-        self.telemetry.record_stage(Stage::Flush, flush_ns);
-        self.telemetry.record_stage(Stage::Total, total_ns);
-        self.telemetry.offer_slow(SlowRequest {
+        let telemetry = self.lane.telemetry();
+        telemetry.record_stage(Stage::Flush, flush_ns);
+        telemetry.record_stage(Stage::Total, total_ns);
+        telemetry.offer_slow(SlowRequest {
             tenant: tag.tenant,
             conn: idx as u64,
             seq: tag.seq,
@@ -1082,7 +1047,7 @@ impl Reactor {
     /// Submits whatever the pass has batched so far, if anything.
     fn submit(&mut self, batch: &mut Vec<(u64, Request, u64)>) {
         if !batch.is_empty() {
-            self.pool
+            self.lane
                 .submit_batch_traced(std::mem::take(batch), self.pass_ns);
         }
     }
@@ -1154,21 +1119,19 @@ impl Reactor {
     }
 }
 
-/// One reactor thread's event loop over an already-bound listener and a
-/// pool view; shared by the single- and multi-reactor entry points.
-/// Returns the run's totals and the pool view (so the caller can
-/// unwrap/shut down the engine after every reactor has exited).
-#[allow(clippy::too_many_arguments)]
+/// One reactor's event loop over an already-bound listener and its
+/// lane, until `shutdown` is requested and the drain completes. Its
+/// connection share is its entry in `gauges`. The lane is dropped on
+/// return, so the caller can shut the pool down once every reactor has
+/// exited.
 fn run_reactor(
     listener: TcpListener,
-    pool: Pool,
-    telemetry: Arc<Telemetry>,
+    lane: EngineLane,
     gauges: Arc<Vec<ReactorGauges>>,
     reactor_id: usize,
-    max_conns: usize,
     global_max: usize,
     shutdown: &Shutdown,
-) -> io::Result<(ReactorRun, Pool)> {
+) -> io::Result<ReactorRun> {
     listener.set_nonblocking(true)?;
     let mut poll = Poll::new()?;
     let listener_fd = listener.as_raw_fd();
@@ -1177,13 +1140,12 @@ fn run_reactor(
     let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
     shutdown.install(Arc::clone(&waker));
     let notify = Arc::clone(&waker);
-    pool.install_notifier(Arc::new(move || {
+    lane.notify().install(Arc::new(move || {
         let _ = notify.wake();
     }));
     let mut reactor = Reactor {
         registry: poll.registry().try_clone()?,
-        pool,
-        telemetry,
+        lane,
         pass_ns: 0,
         listener: Some(listener),
         conns: Vec::new(),
@@ -1191,7 +1153,6 @@ fn run_reactor(
         live: 0,
         lingering: VecDeque::new(),
         read_chunk: vec![0; READ_CHUNK],
-        max_conns,
         global_max,
         reactor_id,
         gauges,
@@ -1239,7 +1200,7 @@ fn run_reactor(
         // The pass tick: one clock read per poll iteration, taken after
         // the (possibly long) wait so blocked time is never charged to a
         // request, reused for every stamp below.
-        reactor.pass_ns = reactor.telemetry.now_ns();
+        reactor.pass_ns = reactor.lane.telemetry().now_ns();
         let quiet = events.is_empty();
 
         touched.clear();
@@ -1276,7 +1237,7 @@ fn run_reactor(
         // no buffered complete line awaits parsing.
         if reactor.draining
             && quiet
-            && reactor.pool.in_flight() == 0
+            && reactor.lane.in_flight() == 0
             && reactor.all_flushed()
             && reactor.no_pending_lines()
         {
@@ -1284,64 +1245,17 @@ fn run_reactor(
         }
     }
 
-    // Teardown: close every socket; the pool view goes back to the
-    // caller (the engine outlives this reactor's siblings).
+    // Teardown: close every socket and publish the final gauges; the
+    // lane drops with the reactor.
     reactor.conns.clear();
     reactor.sync_gauges();
-    Ok((
-        ReactorRun {
-            requests: reactor.requests,
-            responses: reactor.responses,
-            parse_errors: reactor.parse_errors,
-            accepted_conns: reactor.accepted_conns,
-            refused_conns: reactor.refused_conns,
-        },
-        reactor.pool,
-    ))
-}
-
-/// Runs the event-driven front end on an already-bound listener until
-/// `shutdown` is requested, then drains and returns the run's totals.
-/// See the module docs for the architecture.
-///
-/// # Errors
-///
-/// Fatal poller errors (registration, `epoll_wait`) and listener setup
-/// failures. Per-connection I/O errors only ever kill that connection.
-pub fn serve_reactor(
-    listener: TcpListener,
-    options: &ReactorOptions,
-    shutdown: &Shutdown,
-) -> io::Result<ReactorSummary> {
-    let telemetry = if options.telemetry {
-        Telemetry::new()
-    } else {
-        Telemetry::off()
-    };
-    let pool = ShardedEngine::with_telemetry(
-        options.strategy,
-        options.shards,
-        options.journal.clone(),
-        None,
-        Arc::clone(&telemetry),
-    );
-    let max_conns = options.max_conns.clamp(1, MAX_SLOTS - CONN_BASE);
-    let gauges = Arc::new(vec![ReactorGauges::with_max(max_conns)]);
-    let (run, pool) = run_reactor(
-        listener,
-        Pool::Owned(pool),
-        telemetry,
-        gauges,
-        0,
-        max_conns,
-        max_conns,
-        shutdown,
-    )?;
-    let Pool::Owned(pool) = pool else {
-        unreachable!("the single-reactor loop owns its pool");
-    };
-    let reports = pool.shutdown();
-    Ok(run.into_summary(reports))
+    Ok(ReactorRun {
+        requests: reactor.requests,
+        responses: reactor.responses,
+        parse_errors: reactor.parse_errors,
+        accepted_conns: reactor.accepted_conns,
+        refused_conns: reactor.refused_conns,
+    })
 }
 
 /// Binds `n` `SO_REUSEPORT` listeners on one address for
@@ -1375,39 +1289,35 @@ pub fn bind_reuseport_listeners(
     Ok(listeners)
 }
 
-/// Runs one reactor thread per listener over a single shared shard
-/// pool until `shutdown` is requested, then drains every reactor and
-/// returns the merged totals. Callers bind the listeners with
-/// `SO_REUSEPORT` on one address ([`mio::net::bind_reuseport`]) so the
-/// kernel spreads incoming connections across them; each reactor
-/// submits and receives on its private [`EngineLane`], so the request
-/// path stays lock-free end to end. `options.max_conns` is a global
-/// budget split evenly across the reactors (each gets at least one
-/// slot).
-///
-/// A single listener degenerates to [`serve_reactor`] exactly.
+/// Runs one reactor per listener over a single shared shard pool until
+/// `shutdown` is requested, then drains every reactor, shuts the pool
+/// down and returns the merged totals. Callers bind the listeners with
+/// [`bind_reuseport_listeners`] so the kernel spreads incoming
+/// connections across them. Each reactor submits and receives on its
+/// own [`EngineLane`], so the request path stays lock-free end to end;
+/// `options.max_conns` is a global budget split evenly across the
+/// reactors. The last reactor runs on the calling thread, the others on
+/// scoped threads of their own.
 ///
 /// # Errors
 ///
+/// [`io::ErrorKind::InvalidInput`] before anything starts when
+/// [`ReactorOptions::validate`] refuses `listeners.len()` reactors.
 /// Fatal poller errors and listener setup failures from any reactor —
 /// a failed reactor requests shutdown so its siblings drain instead of
 /// serving a silently reduced front; the first error is returned after
-/// every thread has exited and the pool is shut down.
+/// every reactor has exited and the pool is shut down.
 ///
 /// # Panics
 ///
-/// Panics if `listeners` is empty or a reactor thread panics.
+/// Panics if a reactor thread panics.
 pub fn serve_reactors(
     listeners: Vec<TcpListener>,
     options: &ReactorOptions,
     shutdown: &Shutdown,
 ) -> io::Result<ReactorSummary> {
-    assert!(!listeners.is_empty(), "at least one listener is required");
-    if listeners.len() == 1 {
-        let listener = listeners.into_iter().next().expect("length checked");
-        return serve_reactor(listener, options, shutdown);
-    }
     let n = listeners.len();
+    options.validate(n)?;
     let telemetry = if options.telemetry {
         Telemetry::new()
     } else {
@@ -1418,75 +1328,49 @@ pub fn serve_reactors(
         options.shards,
         options.journal.clone(),
         n,
-        Arc::clone(&telemetry),
+        telemetry,
     );
-    let shared = Arc::new(pool);
-    let global_max = options.max_conns.clamp(1, n * (MAX_SLOTS - CONN_BASE));
+    let global_max = options.max_conns.min(n * (MAX_SLOTS - CONN_BASE));
     // Split the global budget evenly, the remainder to the first
-    // reactors, at least one slot each.
-    let share = |r: usize| (global_max / n + usize::from(r < global_max % n)).max(1);
-    let gauges: Arc<Vec<ReactorGauges>> =
-        Arc::new((0..n).map(|r| ReactorGauges::with_max(share(r))).collect());
-    let outcomes: Vec<io::Result<(ReactorRun, Pool)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = listeners
+    // reactors; validation leaves every share at least one slot.
+    let gauges: Arc<Vec<ReactorGauges>> = Arc::new(
+        (0..n)
+            .map(|r| ReactorGauges::with_max(global_max / n + usize::from(r < global_max % n)))
+            .collect(),
+    );
+    let run = |r: usize, listener: TcpListener, lane: EngineLane| {
+        let out = run_reactor(listener, lane, Arc::clone(&gauges), r, global_max, shutdown);
+        if out.is_err() {
+            // A dead reactor must not strand its siblings (or the
+            // caller) behind a front that will never fully serve:
+            // drain everyone.
+            shutdown.request();
+        }
+        out
+    };
+    let mut reactors: Vec<(TcpListener, EngineLane)> = listeners.into_iter().zip(lanes).collect();
+    let (last_listener, last_lane) = reactors.pop().expect("validated: at least one reactor");
+    let outcomes: Vec<io::Result<ReactorRun>> = std::thread::scope(|scope| {
+        let run = &run;
+        let spawned: Vec<_> = reactors
             .into_iter()
-            .zip(lanes)
             .enumerate()
-            .map(|(r, (listener, lane))| {
-                let shared = Arc::clone(&shared);
-                let telemetry = Arc::clone(&telemetry);
-                let gauges = Arc::clone(&gauges);
-                scope.spawn(move || {
-                    let pool = Pool::Shared { shared, lane };
-                    let out = run_reactor(
-                        listener,
-                        pool,
-                        telemetry,
-                        gauges,
-                        r,
-                        share(r),
-                        global_max,
-                        shutdown,
-                    );
-                    if out.is_err() {
-                        // A dead reactor must not strand its siblings
-                        // (or the caller) behind a front that will
-                        // never fully serve: drain everyone.
-                        shutdown.request();
-                    }
-                    out
-                })
-            })
+            .map(|(r, (listener, lane))| scope.spawn(move || run(r, listener, lane)))
             .collect();
-        handles
+        let last = run(n - 1, last_listener, last_lane);
+        spawned
             .into_iter()
             .map(|handle| handle.join().expect("reactor thread panicked"))
+            .chain(std::iter::once(last))
             .collect()
     });
-    let mut merged = ReactorRun::default();
-    let mut first_err = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok((run, pool)) => {
-                merged.absorb(&run);
-                // Dropping the pool view drops its lane; the workers
-                // stop routing to it.
-                drop(pool);
-            }
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    let pool =
-        Arc::try_unwrap(shared).expect("every reactor thread has exited and dropped its pool view");
+    // Every lane dropped with its reactor, so the workers can stop.
     let reports = pool.shutdown();
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(merged.into_summary(reports)),
+    let mut merged = ReactorRun::default();
+    for outcome in outcomes {
+        merged.absorb(&outcome?);
     }
+    Ok(merged.into_summary(reports))
 }
 
 #[cfg(test)]
@@ -1702,6 +1586,30 @@ mod tests {
         let summary = handle.join().unwrap().unwrap();
         assert_eq!(summary.requests, n_flips as u64 + 2);
         assert_eq!(summary.responses, n_flips as u64 + 2);
+    }
+
+    /// A front the reactors cannot run is refused before any reactor
+    /// starts: no listener, more reactors than the pool has lanes, or a
+    /// connection cap that would leave a reactor without a slot (which
+    /// used to be floored to one slot each, over-admitting the cap).
+    #[test]
+    fn unservable_fronts_are_refused_before_serving() {
+        let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, 1);
+        options.max_conns = 1;
+        let shutdown = Shutdown::default();
+        let invalid = |result: io::Result<ReactorSummary>| {
+            result.expect_err("the front must be refused").kind() == io::ErrorKind::InvalidInput
+        };
+        assert!(invalid(serve_reactors(Vec::new(), &options, &shutdown)));
+        let two = bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), 2).unwrap();
+        assert!(invalid(serve_reactors(two, &options, &shutdown)));
+        assert!(options.validate(1).is_ok());
+        options.max_conns = 1024;
+        assert!(options.validate(MAX_EXTRA_LANES).is_ok());
+        assert_eq!(
+            options.validate(MAX_EXTRA_LANES + 1).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use hydra_core::incremental::MemoStats;
@@ -83,28 +83,32 @@ pub struct ResponseMeta {
     pub solved_ns: u64,
 }
 
-/// Called by a worker after it pushes a batch of responses onto the
-/// results channel — the event-driven server installs its poll waker
-/// here so responses interrupt the blocked reactor instead of being
-/// discovered on the next I/O event.
+/// Called by a worker after it pushes a batch of responses onto a
+/// lane's results channel — a reactor installs its poll waker here so
+/// responses interrupt the blocked reactor instead of being discovered
+/// on the next I/O event.
 pub type ResponseNotifier = Arc<dyn Fn() + Send + Sync>;
 
 /// Bit position of the lane id inside a submitted sequence number.
-/// Callers running on an [`EngineLane`] pack `lane << LANE_SHIFT` into
-/// every sequence they submit; the worker reads it back to route the
-/// answer batch to that lane's results channel. Sequences from the
-/// pool's own submit path keep their top byte zero naturally (lane 0).
+/// Every [`EngineLane`] stamps its id into the top byte of each
+/// sequence it submits (callers keep that byte zero); the worker reads
+/// it back to route the answer batch to that lane's results channel,
+/// and the lane strips it again on receive. Lane 0 is the pool's own —
+/// the one the in-process pump ([`crate::server::serve`]) and every
+/// other direct caller of [`ShardedEngine`] submit on; each reactor
+/// gets one of lanes 1..=[`MAX_EXTRA_LANES`].
 pub const LANE_SHIFT: u32 = 56;
 
 /// Most lanes a pool can carry beyond its own: the lane id must fit the
-/// byte above [`LANE_SHIFT`].
+/// byte above [`LANE_SHIFT`]. It is therefore also the most reactors
+/// one serving front can run.
 pub const MAX_EXTRA_LANES: usize = 255;
 
 /// A lane's response notifier, installable *after* pool construction —
-/// multi-reactor serving builds the shared pool first and each reactor
-/// creates its poll waker later, on its own thread. Firing before
-/// installation is a no-op, which is sound: a lane has no requests in
-/// flight before its owner has submitted any.
+/// a serving front builds the pool first and each reactor creates its
+/// poll waker later, on its own thread. Firing before installation is
+/// a no-op, which is sound: a lane has no requests in flight before its
+/// owner has submitted any.
 #[derive(Default)]
 pub struct LaneNotify {
     inner: OnceLock<ResponseNotifier>,
@@ -181,34 +185,6 @@ impl ShardSnapshot {
     }
 }
 
-/// Buckets a batch by tenant hash and forwards one channel message per
-/// involved shard — the dispatch path shared by the pool's own lane and
-/// every [`EngineLane`].
-fn dispatch_envelopes(
-    batch: Vec<Envelope>,
-    in_flight: &mut usize,
-    scratch: &mut [Vec<Envelope>],
-    counters: &[Arc<ShardCounters>],
-    senders: &[Sender<Vec<Envelope>>],
-) {
-    let shards = senders.len();
-    *in_flight += batch.len();
-    for envelope in batch {
-        let shard = shard_index(envelope.request.tenant(), shards);
-        scratch[shard].push(envelope);
-    }
-    for (shard, bucket) in scratch.iter_mut().enumerate() {
-        if !bucket.is_empty() {
-            counters[shard]
-                .submitted
-                .fetch_add(bucket.len() as u64, Ordering::Relaxed);
-            senders[shard]
-                .send(std::mem::take(bucket))
-                .expect("shard worker died with requests outstanding");
-        }
-    }
-}
-
 /// The tenant-hash dispatch function (SplitMix64 of the tenant id,
 /// reduced modulo the shard count) — shared by live dispatch and
 /// boot-time journal recovery, which must agree on tenant placement.
@@ -232,26 +208,14 @@ pub struct ShardReport {
     pub memo: MemoStats,
 }
 
-/// A pool of [`AdaptEngine`] workers with tenant-hash dispatch.
+/// A pool of [`AdaptEngine`] workers with tenant-hash dispatch: the
+/// worker threads plus the pool's own [`EngineLane`] (lane 0), which
+/// every submit/receive method here forwards to.
 #[derive(Debug)]
 pub struct ShardedEngine {
-    senders: Vec<Sender<Vec<Envelope>>>,
-    // The receivers sit behind mutexes only to make the pool `Sync`
-    // (multi-reactor serving shares it in an `Arc` for the read-only
-    // snapshot surface); the single consumer reaches them through
-    // `Mutex::get_mut`, which takes no lock.
-    results: Mutex<Receiver<Vec<(u64, Response, ResponseMeta)>>>,
-    /// Responses already pulled off the channel but not yet handed to the
-    /// caller (workers answer a whole dispatched batch per message).
-    ready: VecDeque<(u64, Response, ResponseMeta)>,
-    reports: Mutex<Receiver<ShardReport>>,
+    lane: EngineLane,
+    reports: Receiver<ShardReport>,
     workers: Vec<JoinHandle<()>>,
-    in_flight: usize,
-    scratch: Vec<Vec<Envelope>>,
-    counters: Vec<Arc<ShardCounters>>,
-    shared: Arc<SharedSelectionStore>,
-    telemetry: Arc<Telemetry>,
-    notify: Arc<LaneNotify>,
 }
 
 impl ShardedEngine {
@@ -259,7 +223,7 @@ impl ShardedEngine {
     /// [`AdaptEngine`] running under `strategy`.
     #[must_use]
     pub fn new(strategy: CarryInStrategy, shards: usize) -> Self {
-        Self::with_config(strategy, shards, None, None)
+        Self::with_telemetry(strategy, shards, None, None, Telemetry::new())
     }
 
     /// Like [`ShardedEngine::new`], with per-tenant event-log
@@ -270,29 +234,15 @@ impl ShardedEngine {
     /// every previously journaled tenant without re-registration.
     #[must_use]
     pub fn with_journal(strategy: CarryInStrategy, shards: usize, journal: JournalDir) -> Self {
-        Self::with_config(strategy, shards, Some(journal), None)
+        Self::with_telemetry(strategy, shards, Some(journal), None, Telemetry::new())
     }
 
-    /// The fully general constructor: optional journal persistence plus
-    /// an optional [`ResponseNotifier`] invoked by a worker every time it
-    /// finishes a dispatched batch (i.e. whenever fresh responses are
-    /// available to [`ShardedEngine::try_recv`]). The event-driven
-    /// server installs its poll waker here; `None` reproduces the plain
-    /// blocking pool exactly.
-    #[must_use]
-    pub fn with_config(
-        strategy: CarryInStrategy,
-        shards: usize,
-        journal: Option<JournalDir>,
-        notifier: Option<ResponseNotifier>,
-    ) -> Self {
-        Self::with_telemetry(strategy, shards, journal, notifier, Telemetry::new())
-    }
-
-    /// Like [`ShardedEngine::with_config`] with an explicit telemetry
-    /// registry — pass [`Telemetry::off`] for the measured runtime-off
-    /// path (no clock reads, no histogram writes; one predictable
-    /// branch per request).
+    /// The fully general single-lane constructor: optional journal
+    /// persistence, an optional [`ResponseNotifier`] invoked by a worker
+    /// every time it finishes a batch submitted on the pool's lane, and
+    /// an explicit telemetry registry — pass [`Telemetry::off`] for the
+    /// measured runtime-off path (no clock reads, no histogram writes;
+    /// one predictable branch per request).
     #[must_use]
     pub fn with_telemetry(
         strategy: CarryInStrategy,
@@ -301,16 +251,18 @@ impl ShardedEngine {
         notifier: Option<ResponseNotifier>,
         telemetry: Arc<Telemetry>,
     ) -> Self {
-        Self::build(strategy, shards, journal, notifier, 0, telemetry).0
+        let (pool, _) = Self::with_lanes(strategy, shards, journal, 0, telemetry);
+        if let Some(notifier) = notifier {
+            pool.lane.notify.install(notifier);
+        }
+        pool
     }
 
     /// Like [`ShardedEngine::with_telemetry`], additionally carving out
     /// `extra_lanes` independent submit/receive lanes over the same
-    /// worker pool — one per reactor in multi-reactor serving. Lane
-    /// `k+1` is returned at index `k`; the pool itself stays lane 0.
-    /// Each lane owner packs its lane id into every sequence number
-    /// (see [`LANE_SHIFT`]) and installs its waker on the lane's
-    /// [`LaneNotify`] once it has one.
+    /// worker pool — one per reactor of a serving front. Lane `k+1` is
+    /// returned at index `k`; the pool keeps lane 0. Each lane owner
+    /// installs its waker on the lane's [`LaneNotify`] once it has one.
     ///
     /// # Panics
     ///
@@ -323,43 +275,19 @@ impl ShardedEngine {
         extra_lanes: usize,
         telemetry: Arc<Telemetry>,
     ) -> (Self, Vec<EngineLane>) {
-        Self::build(strategy, shards, journal, None, extra_lanes, telemetry)
-    }
-
-    fn build(
-        strategy: CarryInStrategy,
-        shards: usize,
-        journal: Option<JournalDir>,
-        notifier: Option<ResponseNotifier>,
-        extra_lanes: usize,
-        telemetry: Arc<Telemetry>,
-    ) -> (Self, Vec<EngineLane>) {
         assert!(
             extra_lanes <= MAX_EXTRA_LANES,
             "lane ids must fit the byte above LANE_SHIFT"
         );
         let shards = shards.max(1);
         let shared = SharedSelectionStore::new();
-        let (results_tx, results) = mpsc::channel();
         let (reports_tx, reports) = mpsc::channel();
         let counters: Vec<Arc<ShardCounters>> = (0..shards)
             .map(|_| Arc::new(ShardCounters::default()))
             .collect();
-        // Lane 0 is the pool's own results channel; its notifier (the
-        // single-reactor waker) arrives pre-installed when given.
-        let lane0_notify = Arc::new(LaneNotify::default());
-        if let Some(notifier) = notifier {
-            lane0_notify.install(notifier);
-        }
-        let mut lane_txs = vec![results_tx];
-        let mut notifiers = vec![lane0_notify];
-        let mut lane_rxs = Vec::with_capacity(extra_lanes);
-        for _ in 0..extra_lanes {
-            let (tx, rx) = mpsc::channel();
-            lane_txs.push(tx);
-            notifiers.push(Arc::new(LaneNotify::default()));
-            lane_rxs.push(rx);
-        }
+        let (lane_txs, lane_rxs): (Vec<_>, Vec<_>) =
+            (0..=extra_lanes).map(|_| mpsc::channel()).unzip();
+        let notifiers: Vec<Arc<LaneNotify>> = (0..=extra_lanes).map(|_| Arc::default()).collect();
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
@@ -452,15 +380,11 @@ impl ShardedEngine {
                     }
                     // One channel message (and below, one waker ping) per
                     // dispatched batch — not per request. Routed to the
-                    // lane the batch was submitted on.
+                    // lane the batch was submitted on. A lane owner that
+                    // already exited dropped its receiver; its answers
+                    // are undeliverable (like responses to a dead
+                    // connection), but the other lanes are still served.
                     if lane_txs[lane].send(answers).is_err() {
-                        if lane == 0 {
-                            return; // collector gone — stop quietly
-                        }
-                        // A lane owner that already exited dropped its
-                        // receiver; its answers are undeliverable (like
-                        // responses to a dead connection), but the pool
-                        // and the other lanes are still being served.
                         continue;
                     }
                     // Refresh the live telemetry, then wake the reactor
@@ -486,104 +410,63 @@ impl ShardedEngine {
                 });
             }));
         }
-        let lanes = lane_rxs
-            .into_iter()
-            .enumerate()
-            .map(|(k, results)| EngineLane {
-                lane: k + 1,
-                senders: senders.clone(),
-                results,
-                ready: VecDeque::new(),
-                in_flight: 0,
-                scratch: (0..shards).map(|_| Vec::new()).collect(),
-                counters: counters.clone(),
-                notify: Arc::clone(&notifiers[k + 1]),
-            })
-            .collect();
+        let mut lanes =
+            lane_rxs
+                .into_iter()
+                .zip(notifiers)
+                .enumerate()
+                .map(|(lane, (results, notify))| EngineLane {
+                    lane_bits: (lane as u64) << LANE_SHIFT,
+                    senders: senders.clone(),
+                    results,
+                    ready: VecDeque::new(),
+                    in_flight: 0,
+                    scratch: (0..shards).map(|_| Vec::new()).collect(),
+                    counters: counters.clone(),
+                    shared: Arc::clone(&shared),
+                    telemetry: Arc::clone(&telemetry),
+                    notify,
+                });
         let pool = ShardedEngine {
-            senders,
-            results: Mutex::new(results),
-            ready: VecDeque::new(),
-            reports: Mutex::new(reports),
+            lane: lanes.next().expect("lane 0 always exists"),
+            reports,
             workers,
-            in_flight: 0,
-            scratch: (0..shards).map(|_| Vec::new()).collect(),
-            counters,
-            shared,
-            telemetry,
-            notify: Arc::clone(&notifiers[0]),
         };
-        (pool, lanes)
-    }
-
-    /// Installs the pool's own (lane-0) response notifier after
-    /// construction — the reactor path builds the pool first and its
-    /// poll waker later. First install wins; a no-op if a notifier was
-    /// already given to the constructor.
-    pub fn install_notifier(&self, notifier: ResponseNotifier) {
-        self.notify.install(notifier);
+        (pool, lanes.collect())
     }
 
     /// Statistics of the pool-wide cross-tenant selection store.
     #[must_use]
     pub fn shared_store_stats(&self) -> hydra_core::SharedStoreStats {
-        self.shared.stats()
+        self.lane.shared.stats()
     }
 
     /// The pool's telemetry registry (shared with its workers and
     /// whichever serving front pumps the pool).
     #[must_use]
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+        &self.lane.telemetry
     }
 
-    /// Assembles the full observability report behind the
-    /// `{"op":"metrics"}` verb: every ad-hoc counter in the workspace —
-    /// connection gauges and per-reactor breakdowns (the caller's,
-    /// since only the front knows them), shard snapshots, stage
-    /// histograms, solver and walk phase counters, shared-store and
-    /// journal counters — plus the worst-N slow-request ring, in one
-    /// struct for the proto renderers.
+    /// See [`EngineLane::metrics_report`].
     #[must_use]
     pub fn metrics_report(
         &self,
         conns: crate::proto::ConnStats,
         reactors: Vec<crate::proto::ReactorStats>,
     ) -> crate::proto::MetricsReport {
-        crate::proto::MetricsReport {
-            conns,
-            reactors,
-            shards: self.snapshots(),
-            stages: self.telemetry.stage_snapshots(),
-            solver: hydra_core::phase_stats::snapshot(),
-            walks: rts_analysis::phase_stats::snapshot(),
-            shared_store: self.shared.stats(),
-            journal: crate::journal::stats(),
-            slow: self.telemetry.slow_requests(),
-        }
+        self.lane.metrics_report(conns, reactors)
     }
 
-    /// Number of shards.
+    /// See [`EngineLane::snapshots`].
     #[must_use]
-    pub fn shards(&self) -> usize {
-        self.senders.len()
+    pub fn snapshots(&self) -> Vec<ShardSnapshot> {
+        self.lane.snapshots()
     }
 
-    /// The shard a tenant is served by.
-    #[must_use]
-    pub fn shard_of(&self, tenant: u64) -> usize {
-        shard_index(tenant, self.senders.len())
-    }
-
-    /// Responses submitted but not yet received.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Submits a batch: requests are split by tenant hash and forwarded
-    /// with one channel message per involved shard, preserving the given
-    /// order within each shard (hence per tenant).
+    /// Submits a batch on the pool's lane: requests are split by tenant
+    /// hash and forwarded with one channel message per involved shard,
+    /// preserving the given order within each shard (hence per tenant).
     ///
     /// # Panics
     ///
@@ -593,101 +476,24 @@ impl ShardedEngine {
     pub fn submit_batch(&mut self, batch: Vec<(u64, Request)>) {
         // In-process callers have no wire read, so the read and submit
         // stamps coincide: one clock read per submitted batch.
-        let now_ns = self.telemetry.now_ns();
-        self.dispatch(
-            batch
-                .into_iter()
-                .map(|(seq, request)| Envelope {
-                    seq,
-                    request,
-                    read_ns: now_ns,
-                    submit_ns: now_ns,
-                })
-                .collect(),
-        );
+        let now_ns = self.lane.telemetry.now_ns();
+        self.lane
+            .dispatch(batch.into_iter().map(|(seq, request)| Envelope {
+                seq,
+                request,
+                read_ns: now_ns,
+                submit_ns: now_ns,
+            }));
     }
 
-    /// Like [`ShardedEngine::submit_batch`] for serving fronts that
-    /// already stamped each request: `read_ns` per request (the tick
-    /// its bytes were read) and one shared `submit_ns` (the front's
-    /// current pass tick — the whole batch is enqueued in one pass).
+    /// See [`EngineLane::submit_batch_traced`].
     pub fn submit_batch_traced(&mut self, batch: Vec<(u64, Request, u64)>, submit_ns: u64) {
-        self.dispatch(
-            batch
-                .into_iter()
-                .map(|(seq, request, read_ns)| Envelope {
-                    seq,
-                    request,
-                    read_ns,
-                    submit_ns,
-                })
-                .collect(),
-        );
+        self.lane.submit_batch_traced(batch, submit_ns);
     }
 
-    fn dispatch(&mut self, batch: Vec<Envelope>) {
-        dispatch_envelopes(
-            batch,
-            &mut self.in_flight,
-            &mut self.scratch,
-            &self.counters,
-            &self.senders,
-        );
-    }
-
-    /// Non-blocking receive: one response if any is ready, `None`
-    /// otherwise (including when nothing is in flight). The event-driven
-    /// server drains this after every waker event.
-    pub fn try_recv(&mut self) -> Option<(u64, Response)> {
-        self.try_recv_traced()
-            .map(|(seq, response, _)| (seq, response))
-    }
-
-    /// Non-blocking receive keeping the worker's telemetry stamps, so
-    /// a serving front can finish the trace (respond/flush/total).
+    /// See [`EngineLane::try_recv_traced`].
     pub fn try_recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        loop {
-            if let Some(answer) = self.ready.pop_front() {
-                self.in_flight -= 1;
-                return Some(answer);
-            }
-            let results = self.results.get_mut().expect("results receiver poisoned");
-            match results.try_recv() {
-                Ok(batch) => self.ready.extend(batch),
-                Err(TryRecvError::Empty) => return None,
-                Err(TryRecvError::Disconnected) => {
-                    panic!("shard workers died with requests outstanding")
-                }
-            }
-        }
-    }
-
-    /// Point-in-time telemetry of every live shard (ordered by index):
-    /// queue depths, handled counts, memo statistics, tenant counts.
-    /// Relaxed reads — a snapshot taken mid-batch may lag by up to one
-    /// batch, which is fine for the `stats` verb it feeds.
-    #[must_use]
-    pub fn snapshots(&self) -> Vec<ShardSnapshot> {
-        self.counters
-            .iter()
-            .enumerate()
-            .map(|(shard, c)| {
-                let submitted = c.submitted.load(Ordering::Relaxed);
-                let handled = c.handled.load(Ordering::Relaxed);
-                ShardSnapshot {
-                    shard,
-                    queue_depth: submitted.saturating_sub(handled),
-                    handled,
-                    memo_hits: c.memo_hits.load(Ordering::Relaxed),
-                    memo_shared_hits: c.memo_shared_hits.load(Ordering::Relaxed),
-                    memo_misses: c.memo_misses.load(Ordering::Relaxed),
-                    tenants: c.tenants.load(Ordering::Relaxed),
-                }
-            })
-            .collect()
+        self.lane.try_recv_traced()
     }
 
     /// Receives one response, blocking while any are in flight. Returns
@@ -696,29 +502,14 @@ impl ShardedEngine {
         self.recv_traced().map(|(seq, response, _)| (seq, response))
     }
 
-    /// Blocking receive keeping the worker's telemetry stamps.
+    /// See [`EngineLane::recv_traced`].
     pub fn recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        loop {
-            if let Some(answer) = self.ready.pop_front() {
-                self.in_flight -= 1;
-                return Some(answer);
-            }
-            let batch = self
-                .results
-                .get_mut()
-                .expect("results receiver poisoned")
-                .recv()
-                .expect("shard workers died with requests outstanding");
-            self.ready.extend(batch);
-        }
+        self.lane.recv_traced()
     }
 
     /// Receives every outstanding response.
     pub fn drain(&mut self) -> Vec<(u64, Response)> {
-        let mut out = Vec::with_capacity(self.in_flight);
+        let mut out = Vec::with_capacity(self.lane.in_flight);
         while let Some(answer) = self.recv() {
             out.push(answer);
         }
@@ -728,7 +519,7 @@ impl ShardedEngine {
     /// [`ShardedEngine::drain`] with each response's worker-side trace
     /// stamps (what the pump front ends feed into the stage histograms).
     pub fn drain_traced(&mut self) -> Vec<(u64, Response, ResponseMeta)> {
-        let mut out = Vec::with_capacity(self.in_flight);
+        let mut out = Vec::with_capacity(self.lane.in_flight);
         while let Some(answer) = self.recv_traced() {
             out.push(answer);
         }
@@ -765,55 +556,57 @@ impl ShardedEngine {
     #[must_use]
     pub fn shutdown(mut self) -> Vec<ShardReport> {
         let _ = self.drain();
-        self.senders.clear(); // closes the request channels
-        for worker in self.workers.drain(..) {
+        drop(self.lane); // closes the pool's request channels
+        for worker in self.workers {
             worker.join().expect("shard worker panicked");
         }
-        let mut reports: Vec<ShardReport> = self
-            .reports
-            .get_mut()
-            .expect("reports receiver poisoned")
-            .try_iter()
-            .collect();
+        let mut reports: Vec<ShardReport> = self.reports.try_iter().collect();
         reports.sort_by_key(|r| r.shard);
         reports
     }
 }
 
-/// One reactor's private submit/receive view of a shared
-/// [`ShardedEngine`]: its own results channel, in-flight accounting and
-/// dispatch scratch over the same worker pool. Lanes are carved out by
-/// [`ShardedEngine::with_lanes`]; each submitted sequence number gets
-/// the lane id stamped into its top byte (see [`LANE_SHIFT`]) so the
-/// workers route every answer batch back to the lane that submitted it.
+/// One submit/receive view of a [`ShardedEngine`]'s workers: its own
+/// results channel, in-flight accounting and dispatch scratch, plus the
+/// pool's read-only observability surface (shard snapshots, shared-store
+/// stats, telemetry). Each submitted sequence number gets the lane id
+/// stamped into its top byte (see [`LANE_SHIFT`]) so the workers route
+/// every answer batch back to the lane that submitted it. The pool's
+/// own lane is lane 0; [`ShardedEngine::with_lanes`] carves out one
+/// more per reactor.
 ///
 /// A lane is single-owner (one reactor thread) and must be dropped —
 /// after draining its in-flight requests — before the pool itself is
 /// shut down.
 #[derive(Debug)]
 pub struct EngineLane {
-    lane: usize,
+    /// This lane's id, already shifted into the sequence's top byte.
+    lane_bits: u64,
     senders: Vec<Sender<Vec<Envelope>>>,
     results: Receiver<Vec<(u64, Response, ResponseMeta)>>,
+    /// Responses already pulled off the channel but not yet handed to the
+    /// caller (workers answer a whole dispatched batch per message).
     ready: VecDeque<(u64, Response, ResponseMeta)>,
     in_flight: usize,
     scratch: Vec<Vec<Envelope>>,
     counters: Vec<Arc<ShardCounters>>,
+    shared: Arc<SharedSelectionStore>,
+    telemetry: Arc<Telemetry>,
     notify: Arc<LaneNotify>,
 }
 
 impl EngineLane {
-    /// This lane's id (1-based; the pool itself is lane 0).
-    #[must_use]
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
     /// The lane's two-phase notifier — install the reactor's waker here
     /// once it exists.
     #[must_use]
     pub fn notify(&self) -> &Arc<LaneNotify> {
         &self.notify
+    }
+
+    /// The pool's telemetry registry.
+    #[must_use]
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
     /// Responses submitted on this lane and not yet received.
@@ -822,35 +615,61 @@ impl EngineLane {
         self.in_flight
     }
 
-    /// Lane-side [`ShardedEngine::submit_batch_traced`]: stamps the lane
-    /// id into each sequence's top byte and dispatches. Sequences must
-    /// keep that byte free (the reactor's packing leaves it zero).
+    /// Submits a batch whose requests a serving front already stamped:
+    /// `read_ns` per request (the tick its bytes were read) and one
+    /// shared `submit_ns` (the front's current pass tick — the whole
+    /// batch is enqueued in one pass).
     pub fn submit_batch_traced(&mut self, batch: Vec<(u64, Request, u64)>, submit_ns: u64) {
-        let lane_bits = (self.lane as u64) << LANE_SHIFT;
-        let envelopes = batch
-            .into_iter()
-            .map(|(seq, request, read_ns)| {
-                debug_assert_eq!(seq >> LANE_SHIFT, 0, "sequence collides with the lane byte");
-                Envelope {
-                    seq: seq | lane_bits,
-                    request,
-                    read_ns,
-                    submit_ns,
-                }
-            })
-            .collect();
-        dispatch_envelopes(
-            envelopes,
-            &mut self.in_flight,
-            &mut self.scratch,
-            &self.counters,
-            &self.senders,
-        );
+        self.dispatch(batch.into_iter().map(|(seq, request, read_ns)| Envelope {
+            seq,
+            request,
+            read_ns,
+            submit_ns,
+        }));
     }
 
-    /// Lane-side [`ShardedEngine::try_recv_traced`]: non-blocking, the
-    /// lane bits already stripped from the returned sequence.
+    /// Stamps the lane id into each sequence, buckets the batch by
+    /// tenant hash and forwards one channel message per involved shard.
+    fn dispatch(&mut self, batch: impl ExactSizeIterator<Item = Envelope>) {
+        let shards = self.senders.len();
+        self.in_flight += batch.len();
+        for mut envelope in batch {
+            debug_assert_eq!(
+                envelope.seq >> LANE_SHIFT,
+                0,
+                "sequence collides with the lane byte"
+            );
+            envelope.seq |= self.lane_bits;
+            let shard = shard_index(envelope.request.tenant(), shards);
+            self.scratch[shard].push(envelope);
+        }
+        for (shard, bucket) in self.scratch.iter_mut().enumerate() {
+            if !bucket.is_empty() {
+                self.counters[shard]
+                    .submitted
+                    .fetch_add(bucket.len() as u64, Ordering::Relaxed);
+                self.senders[shard]
+                    .send(std::mem::take(bucket))
+                    .expect("shard worker died with requests outstanding");
+            }
+        }
+    }
+
+    /// Non-blocking receive: one response (lane byte stripped, worker
+    /// telemetry stamps kept) if any is ready, `None` otherwise —
+    /// including when nothing is in flight. A reactor drains this after
+    /// every waker event.
     pub fn try_recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
+        self.receive(false)
+    }
+
+    /// Blocking receive: waits while any response is in flight; `None`
+    /// once nothing is.
+    pub fn recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
+        self.receive(true)
+    }
+
+    fn receive(&mut self, block: bool) -> Option<(u64, Response, ResponseMeta)> {
         if self.in_flight == 0 {
             return None;
         }
@@ -859,13 +678,68 @@ impl EngineLane {
                 self.in_flight -= 1;
                 return Some((seq & !(0xFF << LANE_SHIFT), response, meta));
             }
-            match self.results.try_recv() {
-                Ok(batch) => self.ready.extend(batch),
-                Err(TryRecvError::Empty) => return None,
-                Err(TryRecvError::Disconnected) => {
-                    panic!("shard workers died with requests outstanding")
+            let batch = if block {
+                self.results.recv().ok()
+            } else {
+                match self.results.try_recv() {
+                    Ok(batch) => Some(batch),
+                    Err(TryRecvError::Empty) => return None,
+                    Err(TryRecvError::Disconnected) => None,
                 }
-            }
+            };
+            self.ready
+                .extend(batch.expect("shard workers died with requests outstanding"));
+        }
+    }
+
+    /// Point-in-time telemetry of every live shard (ordered by index):
+    /// queue depths, handled counts, memo statistics, tenant counts.
+    /// Relaxed reads — a snapshot taken mid-batch may lag by up to one
+    /// batch, which is fine for the `stats` verb it feeds.
+    #[must_use]
+    pub fn snapshots(&self) -> Vec<ShardSnapshot> {
+        self.counters
+            .iter()
+            .enumerate()
+            .map(|(shard, c)| {
+                let submitted = c.submitted.load(Ordering::Relaxed);
+                let handled = c.handled.load(Ordering::Relaxed);
+                ShardSnapshot {
+                    shard,
+                    queue_depth: submitted.saturating_sub(handled),
+                    handled,
+                    memo_hits: c.memo_hits.load(Ordering::Relaxed),
+                    memo_shared_hits: c.memo_shared_hits.load(Ordering::Relaxed),
+                    memo_misses: c.memo_misses.load(Ordering::Relaxed),
+                    tenants: c.tenants.load(Ordering::Relaxed),
+                }
+            })
+            .collect()
+    }
+
+    /// Assembles the full observability report behind the
+    /// `{"op":"metrics"}` verb: every ad-hoc counter in the workspace —
+    /// connection gauges and per-reactor breakdowns (the caller's,
+    /// since only the front knows them), shard snapshots, stage
+    /// histograms, solver and walk phase counters, shared-store and
+    /// journal counters — plus the worst-N slow-request ring, in one
+    /// struct for the proto renderers.
+    #[must_use]
+    pub fn metrics_report(
+        &self,
+        conns: crate::proto::ConnStats,
+        reactors: Vec<crate::proto::ReactorStats>,
+    ) -> crate::proto::MetricsReport {
+        crate::proto::MetricsReport {
+            conns,
+            reactors,
+            shards: self.snapshots(),
+            stages: self.telemetry.stage_snapshots(),
+            solver: hydra_core::phase_stats::snapshot(),
+            walks: rts_analysis::phase_stats::snapshot(),
+            shared_store: self.shared.stats(),
+            journal: crate::journal::stats(),
+            slow: self.telemetry.slow_requests(),
         }
     }
 }
@@ -1059,40 +933,40 @@ mod tests {
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
-        let pool = ShardedEngine::new(CarryInStrategy::TopDiff, 4);
         for tenant in 0..100 {
-            let s = pool.shard_of(tenant);
+            let s = shard_index(tenant, 4);
             assert!(s < 4);
-            assert_eq!(s, pool.shard_of(tenant));
+            assert_eq!(s, shard_index(tenant, 4));
         }
         // The hash actually spreads tenants around.
-        let hit: std::collections::HashSet<usize> = (0..100).map(|t| pool.shard_of(t)).collect();
+        let hit: std::collections::HashSet<usize> = (0..100).map(|t| shard_index(t, 4)).collect();
         assert_eq!(hit.len(), 4);
-        let _ = pool.shutdown();
     }
 
     #[test]
     fn recv_returns_none_when_idle() {
         let mut pool = ShardedEngine::new(CarryInStrategy::TopDiff, 2);
-        assert_eq!(pool.in_flight(), 0);
+        assert_eq!(pool.lane.in_flight(), 0);
         assert!(pool.recv().is_none());
-        assert!(pool.try_recv().is_none());
+        assert!(pool.try_recv_traced().is_none());
         let _ = pool.shutdown();
     }
 
-    /// The notifier fires for every processed batch, and try_recv +
-    /// snapshots expose the pool's live state without shutting it down.
+    /// The notifier fires for every processed batch, and the
+    /// non-blocking receive + snapshots expose the pool's live state
+    /// without shutting it down.
     #[test]
     fn notifier_fires_and_snapshots_track_live_state() {
         let wakes = Arc::new(AtomicU64::new(0));
         let counting = Arc::clone(&wakes);
-        let mut pool = ShardedEngine::with_config(
+        let mut pool = ShardedEngine::with_telemetry(
             CarryInStrategy::TopDiff,
             2,
             None,
             Some(Arc::new(move || {
                 counting.fetch_add(1, Ordering::Relaxed);
             })),
+            Telemetry::new(),
         );
         let requests = rover_requests(5);
         let n = requests.len() as u64;
@@ -1107,12 +981,12 @@ mod tests {
         // promise that responses eventually appear.
         let mut got = 0u64;
         while got < n {
-            match pool.try_recv() {
+            match pool.try_recv_traced() {
                 Some(_) => got += 1,
                 None => std::thread::yield_now(),
             }
         }
-        assert!(pool.try_recv().is_none());
+        assert!(pool.try_recv_traced().is_none());
         assert!(wakes.load(Ordering::Relaxed) >= 1, "worker must notify");
         let snaps = pool.snapshots();
         assert_eq!(snaps.len(), 2);
@@ -1126,6 +1000,29 @@ mod tests {
             assert!((0.0..=1.0).contains(&rate));
         }
         let _ = pool.shutdown();
+    }
+
+    /// A lane dropped with answers still owed (its reactor exited) costs
+    /// only those answers: the workers keep serving the pool's own lane,
+    /// and shutdown still joins them.
+    #[test]
+    fn a_dropped_lane_never_wedges_the_pool() {
+        let (mut pool, mut lanes) =
+            ShardedEngine::with_lanes(CarryInStrategy::TopDiff, 2, None, 1, Telemetry::new());
+        let mut lane = lanes.pop().expect("one extra lane");
+        let batch = rover_requests(1)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| (i as u64, r, 0))
+            .collect();
+        lane.submit_batch_traced(batch, 0);
+        drop(lane);
+        assert!(pool
+            .process(rover_requests(2))
+            .iter()
+            .all(Response::is_admitted));
+        let reports = pool.shutdown();
+        assert_eq!(reports.iter().map(|r| r.handled).sum::<u64>(), 6);
     }
 
     /// Two lanes over one pool: every answer comes back on the lane that

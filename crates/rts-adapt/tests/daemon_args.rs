@@ -1,7 +1,7 @@
-//! `rts_adaptd`'s command line: an unknown flag or an unparsable
-//! numeric value is a usage error (exit code 2) before anything is
-//! served, never a silent fallback to a default; a valid invocation
-//! still serves its stdin session.
+//! `rts_adaptd`'s command line: an unknown flag, an unparsable numeric
+//! value or a reactor front that cannot run is a usage error (exit
+//! code 2) before anything is served, never a silent fallback to a
+//! default; a valid invocation still serves its stdin session.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -43,6 +43,25 @@ fn unparsable_numbers_are_refused_before_serving() {
         "--retain-archives",
     ] {
         assert_usage_error(&[flag, "-1"], flag);
+    }
+}
+
+/// A front the reactors cannot run is refused before anything binds:
+/// no reactor count, more reactors than the pool has lanes, or a
+/// connection cap that leaves a reactor without a slot.
+#[test]
+fn unservable_reactor_fronts_are_refused_before_binding() {
+    let tcp = ["--tcp", "127.0.0.1:0"];
+    for (args, needle) in [
+        (&["--reactors", "0"][..], "reactor count"),
+        (&["--reactors", "256"][..], "reactor count"),
+        (&["--max-conns", "0"][..], "connection cap 0"),
+        (
+            &["--reactors", "2", "--max-conns", "1"][..],
+            "connection cap 1",
+        ),
+    ] {
+        assert_usage_error(&[&tcp[..], args].concat(), needle);
     }
 }
 

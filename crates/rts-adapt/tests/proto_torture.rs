@@ -460,9 +460,10 @@ fn serve_scripts(shards: usize, scripts: &[Vec<String>]) -> Vec<Vec<String>> {
 /// The parity pin: the same scripted sessions — registrations, deltas,
 /// garbage, mode flips, queries, with per-tenant connection affinity —
 /// through the in-process stdin pump at 1 shard and over the reactor's
-/// concurrent connections at 3 shards produce **byte-identical
-/// per-connection response streams**. Verdict populations are therefore
-/// invariant to both the serving front and the shard count.
+/// concurrent connections at 3 shards, behind one reactor and behind
+/// two `SO_REUSEPORT` reactors, produce **byte-identical per-connection
+/// response streams**. Verdict populations are therefore invariant to
+/// the serving front, the shard count and the reactor count.
 #[test]
 fn reactor_and_in_process_serve_answer_byte_identically() {
     let scripts: Vec<Vec<String>> = (0..6u64)
@@ -491,14 +492,24 @@ fn reactor_and_in_process_serve_answer_byte_identically() {
         .collect();
 
     let in_process = serve_scripts(1, &scripts);
-    let daemon = spawn_reactor(3, 16, None);
-    let reactor = run_scripts(daemon.addr, &scripts);
-    let summary = daemon.stop();
-
-    assert_eq!(in_process, reactor, "per-connection streams must match");
     let expected: usize = scripts.iter().map(Vec::len).sum();
-    assert_eq!(summary.requests, expected as u64);
-    assert_eq!(summary.responses, expected as u64);
+    for reactors in [1, 2] {
+        let listeners = bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), reactors).unwrap();
+        let options = ReactorOptions {
+            max_conns: 16,
+            ..ReactorOptions::new(CarryInStrategy::TopDiff, 3)
+        };
+        let daemon = serve_in_background(listeners, options);
+        let reactor = run_scripts(daemon.addr, &scripts);
+        let summary = daemon.stop();
+
+        assert_eq!(
+            in_process, reactor,
+            "per-connection streams must match at {reactors} reactors"
+        );
+        assert_eq!(summary.requests, expected as u64);
+        assert_eq!(summary.responses, expected as u64);
+    }
 }
 
 /// The observability parity pin: `stats`, `metrics`, and the Prometheus

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::journal::JournalDir;
 use rts_adapt::proto::render_request;
-use rts_adapt::reactor::{serve_reactor, ReactorOptions, Shutdown};
+use rts_adapt::reactor::{serve_reactors, ReactorOptions, Shutdown};
 use rts_adapt::{Replicator, Request, RetryPolicy, RtSpec};
 use rts_analysis::semi::CarryInStrategy;
 use rts_coord::{Coordinator, FaultAction, Step};
@@ -98,7 +98,7 @@ fn serve_detached(journal: Option<JournalDir>) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind daemon listener");
     let addr = listener.local_addr().expect("daemon address");
     std::thread::spawn(move || {
-        let _ = serve_reactor(listener, &options, &Shutdown::default());
+        let _ = serve_reactors(vec![listener], &options, &Shutdown::default());
     });
     addr
 }
